@@ -31,6 +31,7 @@ from .emit import (
     write_hv_trace,
 )
 from .metrics import (
+    EXACT_HV_MAX_OBJECTIVES,
     UnsupportedDimensionError,
     exploration_profile,
     hypervolume_trace,
@@ -209,6 +210,11 @@ def cmd_render(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg = _config_of(args)
     spec, run_config, operators = _resolve_run(args, cfg)
+    if spec.M > EXACT_HV_MAX_OBJECTIVES:
+        # The hv stage comes last; refuse before optimising or creating --outdir.
+        raise UnsupportedDimensionError(
+            f"pipeline: exact hypervolume supports at most {EXACT_HV_MAX_OBJECTIVES} objectives (got {spec.M})"
+        )
     metric_space = _pick(args.metric_space, cfg, "metric_space", str, "search")
     max_points = _pick(args.max_points, cfg, "max_points", int, DEFAULT_MAX_POINTS)
     reference = _parse_reference(args.ref, cfg)
@@ -303,10 +309,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedDimensionError as exc:
+    except (ConfigError, UnsupportedDimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (HistoryFormatError, ContractError, OSError) as exc:

@@ -2,17 +2,19 @@
 
 The whole history — every sampled generation's population, in either the
 search space (decision vectors) or the objective space — is pooled into
-one point multiset, its squared Euclidean distance matrix is
-double-centred into a Gram matrix, and the top two eigenpairs give
-coordinates that preserve pairwise distances as well as any planar
-layout can.  Each embedded point keeps its provenance (generation,
-member index) so downstream consumers can colour by generation or by
-exploration score.
+one point multiset and laid out in the plane so that pairwise distances
+are preserved as well as any planar layout can.  No distance matrix is
+needed for that: the Gram matrix X_c·X_cᵀ of the centred vectors shares
+its nonzero spectrum with the d×d scatter matrix X_cᵀ·X_c (Gower 1966),
+so the layout is X_c projected onto the scatter's top two eigenvectors.
+Each embedded point keeps its provenance (generation, member index) so
+downstream consumers can colour by generation or by exploration score.
 
 Histories are subsampled by a generation stride before embedding: the
-distance matrix is O(n²) in memory, so the point count is capped
-(default 10 000) by taking every s-th generation with the smallest
-stride s that fits, always keeping the final generation.
+point count is capped (default 10 000) by taking every s-th generation
+with the smallest stride s that fits, always keeping the final
+generation.  The cap sets the size of the CSV and SVG artifacts; memory
+grows only linearly with the point count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 from scipy.spatial.distance import pdist, squareform
 
 from .core import ContractError, RunHistory
@@ -40,10 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_POINTS = 10_000
-
-# Above this size a full eigendecomposition is wasteful; switch to a
-# Lanczos solve for just the top two eigenpairs.
-_DENSE_EIG_LIMIT = 600
 
 
 class EmbeddingSpace(enum.Enum):
@@ -156,33 +153,24 @@ def classical_mds(sq_dist) -> tuple[np.ndarray, tuple[float, float], bool]:
     d2 -= row_means[None, :]
     d2 += grand_mean
     d2 *= -0.5
-    b = d2
+    values, vectors = np.linalg.eigh(d2)
+    top = values[::-1][:2]
+    columns = vectors[:, ::-1][:, :2] * np.sqrt(np.maximum(top, 0.0))
+    return _finish_layout(columns, top, float(np.abs(d2).max()))
 
-    if n <= _DENSE_EIG_LIMIT:
-        values, vectors = np.linalg.eigh(b)
-        order = np.argsort(values)[::-1][:2]
-        values, vectors = values[order], vectors[:, order]
-    else:
-        # A fixed Lanczos start vector keeps the result reproducible; the
-        # all-ones direction is in B's null space, so use a seeded draw.
-        v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(n)
-        values, vectors = eigsh(b, k=2, which="LA", v0=v0)
-        order = np.argsort(values)[::-1]
-        values, vectors = values[order], vectors[:, order]
 
-    lam1, lam2 = float(values[0]), float(values[1])
-    tol = 1e-12 * max(1.0, float(np.abs(b).max()))
-    if lam1 <= tol:
-        return np.zeros((n, 2)), (lam1, lam2), True
+def _finish_layout(columns: np.ndarray, eigenvalues, b_max: float) -> tuple[np.ndarray, tuple[float, float], bool]:
+    """Rules shared by both MDS solvers, applied to the scaled top-two columns.
 
-    coords = np.empty((n, 2))
-    for k, lam in enumerate((lam1, lam2)):
-        v = vectors[:, k]
-        pivot = int(np.argmax(np.abs(v)))
-        if v[pivot] < 0:
-            v = -v
-        coords[:, k] = v * np.sqrt(max(lam, 0.0))
-    return coords, (lam1, lam2), False
+    The layout is degenerate when λ₁ <= 1e-12·max(1, max|B|); its
+    coordinates are then all zero.  Otherwise each column is flipped so
+    that its largest-magnitude entry (earliest on ties) is positive.
+    """
+    lam1, lam2 = float(eigenvalues[0]), float(eigenvalues[1])
+    if lam1 <= 1e-12 * max(1.0, b_max):
+        return np.zeros_like(columns), (lam1, lam2), True
+    pivots = columns[np.argmax(np.abs(columns), axis=0), [0, 1]]
+    return columns * np.where(pivots < 0, -1.0, 1.0), (lam1, lam2), False
 
 
 @dataclass(frozen=True)
@@ -233,10 +221,18 @@ class Embedding:
 
 
 def embed_history(history: RunHistory, space, max_points: int = DEFAULT_MAX_POINTS) -> Embedding:
-    """Sample, pool, and MDS-embed a run history in the chosen space."""
+    """Sample, pool, and MDS-embed a run history; with d = 1 the second axis is zero."""
     space = as_space(space)
     sample = concatenate(history, space, max_points)
-    coords, eigenvalues, degenerate = classical_mds(pairwise_sq_distances(sample.vectors))
+    xc = sample.vectors - sample.vectors.mean(axis=0)
+    k = min(2, xc.shape[1])
+    values, vectors = np.linalg.eigh(xc.T @ xc)
+    top = np.zeros(2)
+    top[:k] = values[::-1][:k]
+    columns = np.zeros((xc.shape[0], 2))
+    columns[:, :k] = xc @ vectors[:, ::-1][:, :k]
+    # max|B| of the Gram matrix B = X_c·X_cᵀ is its largest diagonal entry.
+    coords, eigenvalues, degenerate = _finish_layout(columns, top, float(np.einsum("ij,ij->i", xc, xc).max()))
     return Embedding(
         space=space,
         e1=coords[:, 0],

@@ -28,6 +28,7 @@ import numpy as np
 from .core import ContractError, GenerationRecord, OperatorConfig, RunHistory
 from .embedding import Embedding, as_space
 from .metrics import HypervolumeTrace
+from .optimizer import RNG_ALGORITHM
 
 __all__ = [
     "HistoryFormatError",
@@ -49,7 +50,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-RNG_ALGORITHM = "numpy-pcg64"
 
 AZIMUTH_DEG = 45.0
 ELEVATION_DEG = 25.0

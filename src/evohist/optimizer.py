@@ -25,6 +25,7 @@ from .core import (
     GenerationRecord,
     OperatorConfig,
     RunHistory,
+    dominance_matrix,
 )
 from .problems import ProblemSpec, evaluate_batch
 
@@ -46,6 +47,7 @@ __all__ = [
 
 ALGORITHMS = ("nsga2", "nsga3")
 
+# History-header tag for the draw order of ``run``; emit writes it.
 RNG_ALGORITHM = "numpy-pcg64"
 
 _MAX_DIRECTIONS = 10**6
@@ -126,10 +128,7 @@ def fast_nondominated_sort(population) -> list[list[int]]:
     y = _objective_rows(population)
     if y.shape[0] == 0:
         raise ContractError("population must be non-empty")
-    # dom[i, j]: i dominates j, computed in one broadcast pass.
-    le = (y[:, None, :] <= y[None, :, :]).all(axis=2)
-    lt = (y[:, None, :] < y[None, :, :]).any(axis=2)
-    dom = le & lt
+    dom = dominance_matrix(y)
     counts = dom.sum(axis=0).astype(np.int64)
     assigned = np.zeros(y.shape[0], dtype=bool)
     fronts: list[list[int]] = []

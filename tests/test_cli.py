@@ -210,6 +210,24 @@ class TestPipeline:
         for name in self.EXPECTED:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_too_many_objectives_rejected_before_running(self, tmp_path, capsys, monkeypatch, via_config):
+        def must_not_run(*args):
+            raise AssertionError("pipeline optimised before rejecting M=6")
+
+        monkeypatch.setattr("evohist.cli.run", must_not_run)
+        outdir = tmp_path / "out"
+        if via_config:
+            cfg = tmp_path / "m6.cfg"
+            cfg.write_text("problem = dtlz2\nobjectives = 6\nevaluation_budget = 2000\n")
+            argv = ["pipeline", "--config", str(cfg), "--outdir", str(outdir)]
+        else:
+            argv = ["pipeline", "--problem", "dtlz2", "--objectives", "6",
+                    "--evaluations", "2000", "--outdir", str(outdir)]
+        assert main(argv) == 2
+        assert "at most 5 objectives" in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestConfigFile:
     def write_config(self, tmp_path, body):

@@ -17,6 +17,15 @@ from evohist import (
 from evohist.embedding import as_space, sampled_generations
 
 
+def line_history(dim, seed, n_gen=4, pop=10):
+    """Decision vectors on one segment through [0, 1]^dim: a rank-1 search-space cloud."""
+    rng = np.random.default_rng(seed)
+    direction = 0.9 * np.arange(1.0, dim + 1) / (dim + 1)
+    xs = [0.05 + np.outer(rng.random(pop), direction) for _ in range(n_gen)]
+    ys = [rng.random((pop, 2)) for _ in range(n_gen)]
+    return synthetic_history(xs, ys)
+
+
 def planted_plane_cloud(n, ambient, seed):
     """Points that live in a rotated, offset 2-D plane inside a higher space."""
     rng = np.random.default_rng(seed)
@@ -142,7 +151,7 @@ class TestClassicalMds:
         assert not degenerate
         assert np.abs(pdist(coords) - pdist(base)).max() < 1e-6
 
-    def test_large_cloud_uses_sparse_path_and_recovers(self):
+    def test_large_cloud_recovers(self):
         base, x = planted_plane_cloud(700, 5, seed=2)
         coords, _, degenerate = classical_mds(pairwise_sq_distances(x))
         assert not degenerate
@@ -215,3 +224,53 @@ class TestEmbedding:
         laid_out = pdist(np.column_stack([emb.e1, emb.e2]))
         # a planar layout can only shrink distances, never stretch them
         assert (laid_out <= raw + 1e-8).all()
+
+    @pytest.mark.parametrize("space", ["search", "objective"])
+    def test_embed_history_matches_distance_matrix_mds(self, short_run, space):
+        emb = embed_history(short_run, space)
+        coords, eigenvalues, degenerate = classical_mds(
+            pairwise_sq_distances(concatenate(short_run, space).vectors)
+        )
+        assert not emb.degenerate and not degenerate
+        scale = np.abs(coords).max()
+        assert np.abs(emb.e1 - coords[:, 0]).max() <= 1e-12 * scale
+        assert np.abs(emb.e2 - coords[:, 1]).max() <= 1e-12 * scale
+        assert np.abs(np.subtract(emb.eigenvalues, eigenvalues)).max() <= 1e-12 * scale**2
+
+    @given(
+        st.integers(2, 8),
+        st.integers(2, 12),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_embed_history_agrees_with_distance_matrix_mds_on_random_clouds(self, dim, pop, n_gen, seed, data):
+        axis_scales = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                                         min_size=dim, max_size=dim))
+        rng = np.random.default_rng(seed)
+        ys = [rng.standard_normal((pop, dim)) * axis_scales for _ in range(n_gen)]
+        xs = [rng.random((pop, 2)) for _ in range(n_gen)]
+        emb = embed_history(synthetic_history(xs, ys), "objective")
+        y = np.vstack(ys)
+        coords, eigenvalues, degenerate = classical_mds(pairwise_sq_distances(y))
+        assert emb.degenerate == degenerate
+        yc = y - y.mean(axis=0)
+        spectrum = np.linalg.eigvalsh(yc.T @ yc)[::-1]
+        lam1 = max(spectrum[0], 1.0)
+        assert np.abs(np.subtract(emb.eigenvalues, eigenvalues)).max() <= 1e-9 * lam1
+        # The plane of the top two axes, and so every distance within it,
+        # is fixed whenever λ₂ stands clear of λ₃, even if λ₁ ≈ λ₂.
+        if dim == 2 or spectrum[1] - spectrum[2] >= 1e-3 * lam1:
+            laid_out = pdist(np.column_stack([emb.e1, emb.e2]))
+            reference = pdist(coords)
+            assert np.abs(laid_out - reference).max() <= 1e-8 * max(reference.max(), 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_rank_one_sample_gets_a_zero_second_axis(self, dim):
+        # On a line (D=1, or collinear in 3-D) λ₂ is rounding noise; the
+        # second axis must be that small too, not √noise and off-centre.
+        emb = embed_history(line_history(dim, seed=5), "search")
+        assert not emb.degenerate
+        assert np.abs(emb.e2).max() <= 1e-12 * np.abs(emb.e1).max()
+        assert abs(emb.eigenvalues[1]) <= 1e-12 * emb.eigenvalues[0]
