@@ -218,6 +218,9 @@ def cmd_pipeline(args) -> int:
     metric_space = _pick(args.metric_space, cfg, "metric_space", str, "search")
     max_points = _pick(args.max_points, cfg, "max_points", int, DEFAULT_MAX_POINTS)
     reference = _parse_reference(args.ref, cfg)
+    if not isinstance(reference, str) and reference.size != spec.M:
+        # The hv stage would catch this too, but only after the run and four artifacts.
+        raise ConfigError(f"pipeline: reference has {reference.size} values, expected {spec.M} (one per objective)")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     options = FigureOptions()

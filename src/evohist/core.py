@@ -89,7 +89,7 @@ def dominates(a, b) -> bool:
         raise ContractError(
             f"dominance needs two equal-length vectors, got shapes {av.shape} and {bv.shape}"
         )
-    return bool((av <= bv).all() and (av < bv).any())
+    return bool(dominance_matrix(np.stack((av, bv)))[0, 1])
 
 
 def dominance_matrix(objectives: np.ndarray) -> np.ndarray:

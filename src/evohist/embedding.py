@@ -162,13 +162,17 @@ def classical_mds(sq_dist) -> tuple[np.ndarray, tuple[float, float], bool]:
 def _finish_layout(columns: np.ndarray, eigenvalues, b_max: float) -> tuple[np.ndarray, tuple[float, float], bool]:
     """Rules shared by both MDS solvers, applied to the scaled top-two columns.
 
-    The layout is degenerate when λ₁ <= 1e-12·max(1, max|B|); its
-    coordinates are then all zero.  Otherwise each column is flipped so
-    that its largest-magnitude entry (earliest on ties) is positive.
+    An axis whose eigenvalue is at or below 1e-12·max(1, max|B|) is
+    rounding noise, and its column is set to zero; the layout is
+    degenerate when that holds for λ₁.  Each remaining column is flipped
+    so that its largest-magnitude entry (earliest on ties) is positive.
     """
     lam1, lam2 = float(eigenvalues[0]), float(eigenvalues[1])
-    if lam1 <= 1e-12 * max(1.0, b_max):
+    tolerance = 1e-12 * max(1.0, b_max)
+    if lam1 <= tolerance:
         return np.zeros_like(columns), (lam1, lam2), True
+    if lam2 <= tolerance:
+        columns = np.column_stack((columns[:, 0], np.zeros(columns.shape[0])))
     pivots = columns[np.argmax(np.abs(columns), axis=0), [0, 1]]
     return columns * np.where(pivots < 0, -1.0, 1.0), (lam1, lam2), False
 

@@ -13,19 +13,29 @@ exploring.
 
 Hypervolume (the Lebesgue measure of objective space dominated by a
 front, bounded by a reference point) comes in two independent flavours:
-an exact recursive slicing computation for 2-5 objectives, and a Monte
-Carlo estimator usable at any dimension, which doubles as a statistical
-cross-check of the exact routine.
+an exact computation for 2-5 objectives, and a Monte Carlo estimator
+usable at any dimension, which doubles as a statistical cross-check of
+the exact routine.  The exact computation takes one path per dimension:
+
+- M=2: a staircase sum over the front sorted by the first objective.
+- M=3: a sweep along the third objective over a 2-D staircase kept
+  sorted with ``bisect`` (Beume et al. 2009; Fonseca, Paquete and
+  López-Ibáñez 2006), O(n log n) comparisons plus list moves.
+- M=4-5: slicing along the last objective, each slab weighted by the
+  (M-1)-D hypervolume of the points below it, down to the 3-D sweep:
+  O(n² log n) at M=4 and O(n³ log n) at M=5.  A 212-point M=5 front
+  takes about 1.2-1.3 s on one core.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .core import ContractError, GenerationRecord, RunHistory, objective_vector
+from .core import ContractError, GenerationRecord, RunHistory, non_dominated_subset, objective_vector
 from .embedding import EmbeddingSpace, as_space
 
 __all__ = [
@@ -142,49 +152,67 @@ def _staircase_2d(points: np.ndarray, reference: np.ndarray) -> float:
     return total
 
 
-def _nd_filter(points: np.ndarray) -> np.ndarray:
-    """Drop dominated rows (keeps one copy of exact duplicates)."""
-    n = points.shape[0]
-    if n <= 1:
-        return points
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
+def _sweep_3d(points: np.ndarray, reference: np.ndarray) -> float:
+    """Exact 3-D hypervolume by a sweep along the third objective.
+
+    Points enter in increasing z.  ``xs``/``ys`` hold the 2-D staircase of
+    the points seen so far (x increasing, y decreasing) and ``area`` the
+    area it dominates inside the reference box, so the slab between two
+    consecutive z values adds area × thickness.  A point the staircase
+    already weakly dominates adds nothing, which is why the sweep needs no
+    dominance filter and no special case for duplicates or ties.
+    """
+    rx, ry, rz = reference.tolist()
+    xs: list[float] = []
+    ys: list[float] = []
+    area = volume = z_prev = 0.0
+    for x, y, z in points[np.argsort(points[:, 2], kind="stable")].tolist():
+        volume += area * (z - z_prev)
+        z_prev = z
+        i = bisect_right(xs, x)
+        if i and ys[i - 1] <= y:
             continue
-        le = (points[i] <= points).all(axis=1)
-        lt = (points[i] < points).any(axis=1)
-        dominated = le & lt
-        dominated[i] = False
-        keep &= ~dominated
-        # i itself may duplicate an earlier kept row; drop later copies.
-        if keep[i]:
-            dup = (points[i] == points).all(axis=1)
-            dup[: i + 1] = False
-            keep &= ~dup
-    return points[keep]
+        # The new point lowers the staircase from its own x to the first
+        # step that already lies below it; the steps in between are
+        # dominated and leave.  Their x values bound the strips of new area.
+        j = bisect_left(xs, x, hi=i)
+        height = ys[j - 1] if j else ry
+        left = x
+        k = j
+        while k < len(xs) and ys[k] >= y:
+            area += (xs[k] - left) * (height - y)
+            left, height = xs[k], ys[k]
+            k += 1
+        area += ((xs[k] if k < len(xs) else rx) - left) * (height - y)
+        xs[j:k] = [x]
+        ys[j:k] = [y]
+    return volume + area * (rz - z_prev)
 
 
-def _hv_recursive(points: np.ndarray, reference: np.ndarray) -> float:
-    """Exclusive-volume recursion over a non-dominated set (any order)."""
-    n = points.shape[0]
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return float(np.prod(reference - points[0]))
-    if reference.shape[0] == 2:
-        return _staircase_2d(points, reference)
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    total = 0.0
-    for i in range(n):
-        box = float(np.prod(reference - pts[i]))
-        rest = pts[i + 1 :]
-        if rest.shape[0]:
-            limited = np.maximum(rest, pts[i])
-            overlap = _hv_recursive(_nd_filter(limited), reference)
-            box -= overlap
-        total += box
-    return total
+def _slice(points: np.ndarray, reference: np.ndarray) -> float:
+    """Exact hypervolume for 4-5 objectives by slicing along the last one.
+
+    Between consecutive values of the last objective the dominated region
+    has a constant cross-section: the hypervolume of the points below,
+    projected onto the other objectives.  Each slab adds that volume times
+    its thickness.  A prefix goes to the 3-D sweep unfiltered; one handed
+    to another slicing level is filtered first, because that level's cost
+    grows quadratically with its point count.
+    """
+    pts = points[np.argsort(points[:, -1], kind="stable")]
+    bounds = np.append(pts[:, -1], reference[-1]).tolist()
+    lower, lower_ref = pts[:, :-1], reference[:-1]
+    volume = 0.0
+    for i in range(pts.shape[0]):
+        depth = bounds[i + 1] - bounds[i]
+        if depth == 0.0:
+            continue
+        prefix = lower[: i + 1]
+        if lower_ref.size == 3:
+            volume += depth * _sweep_3d(prefix, lower_ref)
+        else:
+            volume += depth * _slice(prefix[non_dominated_subset(prefix)], lower_ref)
+    return volume
 
 
 def _prepare_front(front, reference) -> tuple[np.ndarray, np.ndarray]:
@@ -208,8 +236,8 @@ def hypervolume_exact(front, reference) -> float:
 
     Only members strictly below the reference on every objective bound
     any volume; those and dominated members are filtered before the
-    recursive slicing computation.  Supports 2-5 objectives; beyond that,
-    use hypervolume_mc.
+    staircase (M=2), the sweep (M=3) or the slicing (M=4-5).  Supports
+    2-5 objectives; beyond that, use hypervolume_mc.
     """
     pts, reference = _prepare_front(front, reference)
     m = reference.size
@@ -223,7 +251,12 @@ def hypervolume_exact(front, reference) -> float:
     pts = pts[(pts < reference).all(axis=1)]
     if pts.shape[0] == 0:
         return 0.0
-    return _hv_recursive(_nd_filter(pts), reference)
+    pts = pts[non_dominated_subset(pts)]
+    if m == 2:
+        return _staircase_2d(pts, reference)
+    if m == 3:
+        return _sweep_3d(pts, reference)
+    return _slice(pts, reference)
 
 
 def hypervolume_mc(front, reference, samples: int, rng: np.random.Generator) -> tuple[float, float]:

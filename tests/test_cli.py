@@ -228,6 +228,24 @@ class TestPipeline:
         assert "at most 5 objectives" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_reference_of_wrong_length_rejected_before_running(self, tmp_path, capsys, monkeypatch, via_config):
+        def must_not_run(*args):
+            raise AssertionError("pipeline optimised before rejecting the reference")
+
+        monkeypatch.setattr("evohist.cli.run", must_not_run)
+        outdir = tmp_path / "out"
+        flags = ["--problem", "dtlz2", "--pop", "8", "--evaluations", "40"]
+        if via_config:
+            cfg = tmp_path / "ref.cfg"
+            cfg.write_text("reference = 1, 1\n")
+            flags += ["--config", str(cfg)]
+        else:
+            flags += ["--ref", "1,1"]
+        assert main(["pipeline", *flags, "--outdir", str(outdir)]) == 2
+        assert "expected 3" in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestConfigFile:
     def write_config(self, tmp_path, body):

@@ -16,9 +16,16 @@ from evohist import (
 vectors = st.lists(st.floats(-10, 10, allow_nan=False), min_size=2, max_size=5)
 
 
+def dominates_by_definition(a, b):
+    """Pareto dominance one pair at a time; the oracle for the package's matrix form."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool((a <= b).all() and (a < b).any())
+
+
 def brute_force_nds(points):
     n = len(points)
-    return [i for i in range(n) if not any(dominates(points[j], points[i]) for j in range(n) if j != i)]
+    return [i for i in range(n)
+            if not any(dominates_by_definition(points[j], points[i]) for j in range(n) if j != i)]
 
 
 class TestDominates:
@@ -35,6 +42,14 @@ class TestDominates:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
             dominates((1, 2), (1, 2, 3))
+
+    @given(st.data())
+    def test_matches_definition(self, data):
+        m = data.draw(st.integers(1, 5))
+        grid = st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=m, max_size=m)
+        a, b = data.draw(grid), data.draw(grid)
+        assert dominates(a, b) == dominates_by_definition(a, b)
+        assert dominates(b, a) == dominates_by_definition(b, a)
 
     @given(vectors)
     def test_irreflexive(self, a):

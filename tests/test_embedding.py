@@ -136,9 +136,9 @@ class TestClassicalMds:
         coords, _, degenerate = classical_mds(pairwise_sq_distances(pts))
         assert not degenerate
         assert coords[:, 0] == pytest.approx([-4 / 3, -1 / 3, 5 / 3])
-        # the second eigenvalue is zero only up to rounding, and the square
-        # root amplifies that noise to ~1e-8
-        assert coords[:, 1] == pytest.approx([0, 0, 0], abs=1e-7)
+        # λ₂ is zero only up to rounding; an axis within the degenerate
+        # tolerance is set to zero rather than to the square root of that noise
+        assert np.array_equal(coords[:, 1], np.zeros(3))
 
     def test_coincident_points_flagged_degenerate(self):
         coords, _, degenerate = classical_mds(np.zeros((5, 5)))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import synthetic_history
 from evohist import (
@@ -15,7 +17,83 @@ from evohist import (
     hypervolume_trace,
     nearest_neighbour_distances,
 )
-from evohist.metrics import auto_reference
+from evohist import metrics
+from evohist.metrics import _staircase_2d, auto_reference
+
+
+def _nd_filter(points: np.ndarray) -> np.ndarray:
+    """Drop dominated rows (keeps one copy of exact duplicates)."""
+    n = points.shape[0]
+    if n <= 1:
+        return points
+    keep = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not keep[i]:
+            continue
+        le = (points[i] <= points).all(axis=1)
+        lt = (points[i] < points).any(axis=1)
+        dominated = le & lt
+        dominated[i] = False
+        keep &= ~dominated
+        # i itself may duplicate an earlier kept row; drop later copies.
+        if keep[i]:
+            dup = (points[i] == points).all(axis=1)
+            dup[: i + 1] = False
+            keep &= ~dup
+    return points[keep]
+
+
+def _hv_recursive(points: np.ndarray, reference: np.ndarray) -> float:
+    """Exclusive-volume recursion over a non-dominated set (any order)."""
+    n = points.shape[0]
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return float(np.prod(reference - points[0]))
+    if reference.shape[0] == 2:
+        return _staircase_2d(points, reference)
+    order = np.lexsort(points.T[::-1])
+    pts = points[order]
+    total = 0.0
+    for i in range(n):
+        box = float(np.prod(reference - pts[i]))
+        rest = pts[i + 1 :]
+        if rest.shape[0]:
+            limited = np.maximum(rest, pts[i])
+            overlap = _hv_recursive(_nd_filter(limited), reference)
+            box -= overlap
+        total += box
+    return total
+
+
+def hypervolume_oracle(front, reference) -> float:
+    """Exact hypervolume by exclusive-volume recursion: the reference for hypervolume_exact.
+
+    It shares nothing with the package's sweep and slicing but the 2-D
+    staircase: each point's box minus the volume the later points cover
+    inside it, recursively, with a dominance filter at every level.  It
+    is far slower, so the property test keeps fronts small.
+    """
+    pts, ref = np.asarray(front, dtype=float), np.asarray(reference, dtype=float)
+    pts = pts[(pts < ref).all(axis=1)]
+    return _hv_recursive(_nd_filter(pts), ref)
+
+
+@st.composite
+def awkward_fronts(draw):
+    """An (n, M) front for M = 2-5 against the reference (1, ..., 1).
+
+    Coordinates come partly from a coarse grid, so fronts hold dominated
+    points, exact duplicates, ties on every axis (the sweep axis z and the
+    slicing axis included), coordinates equal to the reference and points
+    beyond it.
+    """
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 9 if m == 5 else 14))
+    coordinate = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5]), st.floats(0.0, 1.2))
+    rows = draw(st.lists(st.lists(coordinate, min_size=m, max_size=m), min_size=n, max_size=n))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    return np.array(rows + [rows[i] for i in repeats], dtype=float)
 
 
 def record(xs, ys=None, t=0):
@@ -124,6 +202,19 @@ class TestHypervolumeExact:
         expected = box(a) + box(b) - overlap
         assert hypervolume_exact([a, b], (1, 1, 1)) == pytest.approx(expected)
 
+    def test_four_objective_union_by_inclusion_exclusion(self):
+        a, b = (0.5, 0.5, 0.5, 0.5), (0.25, 0.75, 0.75, 0.25)
+        # |A| + |B| - |A ∩ B|, where A ∩ B is the box of max(a, b) = (0.5, 0.75, 0.75, 0.5)
+        expected = 0.5**4 + 0.75 * 0.25 * 0.25 * 0.75 - 0.5 * 0.25 * 0.25 * 0.5
+        assert hypervolume_exact([a, b], (1, 1, 1, 1)) == pytest.approx(expected)
+
+    @given(awkward_fronts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exclusive_volume_oracle(self, front):
+        reference = np.ones(front.shape[1])
+        expected = hypervolume_oracle(front, reference)
+        assert abs(hypervolume_exact(front, reference) - expected) <= 1e-12 * expected
+
     def test_dominated_and_duplicate_members_change_nothing(self):
         base = [(0.2, 0.6), (0.6, 0.2)]
         ref = (1.0, 1.0)
@@ -229,6 +320,22 @@ class TestTrace:
         assert trace.reference_point == pytest.approx([0.66, 0.66])
         assert trace.values[0] == pytest.approx(
             hypervolume_exact([(0.2, 0.6), (0.6, 0.2)], (0.66, 0.66)))
+
+    def test_one_exact_call_per_generation(self, monkeypatch):
+        # A per-generation cost measured by wrapping hypervolume_exact
+        # relies on this: one call per generation, looked up at call time.
+        calls = []
+        exact = metrics.hypervolume_exact
+
+        def counting(front, reference):
+            calls.append(front)
+            return exact(front, reference)
+
+        monkeypatch.setattr(metrics, "hypervolume_exact", counting)
+        fronts = [[(0.2, 0.6), (0.6, 0.2)], [(0.1, 0.5), (0.5, 0.5)], [(0.3, 0.3), (0.4, 0.1)]]
+        trace = hypervolume_trace(self.make_history(fronts), reference=(1.0, 1.0))
+        assert len(calls) == len(fronts)
+        assert trace.values == pytest.approx([exact(f, (1.0, 1.0)) for f in fronts])
 
     def test_constant_history_constant_trace(self):
         h = self.make_history([[(0.3, 0.4), (0.4, 0.3)]] * 3)
