@@ -142,7 +142,19 @@ def _parse_reference(text: str | None, cfg: dict[str, str]):
     return ref
 
 
+def _check_out_dirs(*paths) -> None:
+    """Fail before a stage runs when an output's directory does not exist.
+
+    Raised as an OSError, so it exits 1 like the failed write it prevents.
+    """
+    for path in paths:
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise OSError(f"cannot write {path}: {parent} is not an existing directory")
+
+
 def cmd_run(args) -> int:
+    _check_out_dirs(args.out)
     cfg = _config_of(args)
     spec, run_config, operators = _resolve_run(args, cfg)
     started = time.perf_counter()
@@ -158,6 +170,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    _check_out_dirs(args.out)
     cfg = _config_of(args)
     history = read_history(args.history)
     space = _pick(args.space, cfg, "space", str, "search")
@@ -174,6 +187,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_hv(args) -> int:
+    _check_out_dirs(args.out)
     cfg = _config_of(args)
     history = read_history(args.history)
     reference = _parse_reference(args.ref, cfg)
@@ -193,6 +207,7 @@ def cmd_render(args) -> int:
         history_out, hv_out = f"{base}.history.svg", f"{base}.hv.svg"
     else:
         history_out = hv_out = args.out
+    _check_out_dirs(history_out, hv_out)
     if args.embedding:
         embedding, scores = read_embedding(args.embedding)
         document = render_history_figure(embedding, scores, options)

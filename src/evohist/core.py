@@ -93,10 +93,19 @@ def dominates(a, b) -> bool:
 
 
 def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
-    """Boolean matrix ``dom`` with ``dom[i, j]`` true iff row i dominates row j."""
+    """Boolean matrix ``dom`` with ``dom[i, j]`` true iff row i dominates row j.
+
+    Compares one objective column at a time into two n×n accumulators, so
+    no n×n×M temporary is built.
+    """
     y = np.asarray(objectives, dtype=float)
-    le = (y[:, None, :] <= y[None, :, :]).all(axis=2)
-    lt = (y[:, None, :] < y[None, :, :]).any(axis=2)
+    n = y.shape[0]
+    le = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for col in y.T:
+        a, b = col[:, None], col[None, :]
+        le &= a <= b
+        lt |= a < b
     return le & lt
 
 

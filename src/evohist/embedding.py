@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .core import ContractError, RunHistory
 
@@ -115,11 +114,20 @@ def concatenate(history: RunHistory, space, max_points: int = DEFAULT_MAX_POINTS
 
 
 def pairwise_sq_distances(vectors) -> np.ndarray:
-    """Symmetric matrix of squared Euclidean distances between rows."""
+    """Symmetric matrix of squared Euclidean distances between rows.
+
+    The squared differences are added one coordinate at a time, in column
+    order, so every entry carries the same rounding as a plain per-pair sum.
+    """
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2 or v.shape[0] == 0:
         raise ContractError("pairwise distances need a non-empty (n, dim) matrix")
-    return squareform(pdist(v, "sqeuclidean"))
+    out = np.zeros((v.shape[0], v.shape[0]))
+    for col in v.T:
+        diff = col[:, None] - col[None, :]
+        diff *= diff
+        out += diff
+    return out
 
 
 def classical_mds(sq_dist) -> tuple[np.ndarray, tuple[float, float], bool]:

@@ -33,10 +33,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .core import ContractError, GenerationRecord, RunHistory, non_dominated_subset, objective_vector
-from .embedding import EmbeddingSpace, as_space
+from .embedding import EmbeddingSpace, as_space, pairwise_sq_distances
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -67,7 +66,7 @@ def nearest_neighbour_distances(record: GenerationRecord, space="search") -> np.
     space = as_space(space)
     if record.size < 2:
         raise ContractError("nearest-neighbour distances need at least two members")
-    d = squareform(pdist(_space_matrix(record, space)))
+    d = np.sqrt(pairwise_sq_distances(_space_matrix(record, space)))
     np.fill_diagonal(d, np.inf)
     return d.min(axis=1)
 
@@ -280,8 +279,11 @@ def hypervolume_mc(front, reference, samples: int, rng: np.random.Generator) -> 
         take = min(chunk, samples - done)
         u = rng.random((take, reference.size))
         sample = lower + u * (reference - lower)
-        covered = (dominating[None, :, :] <= sample[:, None, :]).all(axis=2).any(axis=1)
-        hits += int(covered.sum())
+        # One axis at a time into a (take, n) mask, never a (take, n, M) one.
+        covered = np.ones((take, dominating.shape[0]), dtype=bool)
+        for m in range(reference.size):
+            covered &= dominating[:, m] <= sample[:, m, None]
+        hits += int(covered.any(axis=1).sum())
         done += take
     fraction = hits / samples
     estimate = fraction * box_volume

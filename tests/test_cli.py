@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +251,39 @@ class TestPipeline:
         assert not outdir.exists()
 
 
+class TestOutputDirectory:
+    STAGES = {"run": "run", "embed": "embed_history", "hv": "hypervolume_trace", "render": "render_history_figure"}
+
+    @pytest.mark.parametrize("command", sorted(STAGES))
+    def test_missing_directory_rejected_before_stage(self, artifacts, tmp_path, capsys, monkeypatch, command):
+        def must_not_run(*args):
+            raise AssertionError(f"{command} ran its stage before checking --out")
+
+        monkeypatch.setattr(f"evohist.cli.{self.STAGES[command]}", must_not_run)
+        _, history, embedding, trace = artifacts
+        argv = {
+            "run": ["run", "--problem", "dtlz2", *RUN_FLAGS],
+            "embed": ["embed", "--history", str(history)],
+            "hv": ["hv", "--history", str(history)],
+            # Both inputs, so the derived .history.svg/.hv.svg names are the ones checked.
+            "render": ["render", "--embedding", str(embedding), "--hv-trace", str(trace)],
+        }[command]
+        missing = tmp_path / "missing"
+        assert main([*argv, "--out", str(missing / "out.txt")]) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_parent_that_is_a_file_rejected(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("run optimised before checking --out")
+
+        monkeypatch.setattr("evohist.cli.run", must_not_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", "--problem", "dtlz2", *RUN_FLAGS, "--out", str(blocker / "h.jsonl")]) == 1
+        assert "not an existing directory" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def write_config(self, tmp_path, body):
         path = tmp_path / "run.cfg"
@@ -305,3 +342,13 @@ class TestParser:
     def test_unknown_flag(self, capsys):
         assert main(["run", "--problem", "dtlz2", "--turbo", "--out", "x"]) == 2
         capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is a test-only dependency; importing it would cost every CLI start."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", "import evohist.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -12,6 +12,7 @@ from evohist import (
     dominates,
     non_dominated_subset,
 )
+from evohist.core import dominance_matrix
 
 vectors = st.lists(st.floats(-10, 10, allow_nan=False), min_size=2, max_size=5)
 
@@ -20,6 +21,13 @@ def dominates_by_definition(a, b):
     """Pareto dominance one pair at a time; the oracle for the package's matrix form."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return bool((a <= b).all() and (a < b).any())
+
+
+def dominance_by_broadcast(y):
+    """The n×n×M broadcast form of the dominance matrix; the oracle for the per-column one."""
+    le = (y[:, None, :] <= y[None, :, :]).all(axis=2)
+    lt = (y[:, None, :] < y[None, :, :]).any(axis=2)
+    return le & lt
 
 
 def brute_force_nds(points):
@@ -69,6 +77,21 @@ class TestDominates:
         a, b, c = (data.draw(st.lists(coord, min_size=m, max_size=m)) for _ in range(3))
         if dominates(a, b) and dominates(b, c):
             assert dominates(a, c)
+
+
+class TestDominanceMatrix:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_identical_to_broadcast(self, data):
+        n, m = data.draw(st.integers(0, 300)), data.draw(st.integers(1, 7))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # A five-value grid makes ties and duplicate rows common.
+        y = rng.integers(-2, 3, (n, m)) * 0.5
+        y[rng.random((n, m)) < data.draw(st.floats(0, 0.3))] = np.inf
+        y[rng.random((n, m)) < data.draw(st.floats(0, 0.3))] = -np.inf
+        got = dominance_matrix(y)
+        assert got.dtype == bool and got.shape == (n, n)
+        assert np.array_equal(got, dominance_by_broadcast(y))
 
 
 class TestNonDominatedSubset:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from conftest import synthetic_history
 from evohist import (
@@ -121,6 +121,15 @@ class TestPairwise:
     def test_shape_checked(self):
         with pytest.raises(ContractError):
             pairwise_sq_distances(np.zeros(5))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_scipy(self, data):
+        n, dim = data.draw(st.integers(1, 212)), data.draw(st.integers(1, 24))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = rng.random((n, dim)) * 10 ** data.draw(st.floats(-3, 3))
+        v[data.draw(st.lists(st.integers(0, n - 1), max_size=3))] = v[0]
+        assert np.array_equal(pairwise_sq_distances(v), squareform(pdist(v, "sqeuclidean")))
 
 
 class TestClassicalMds:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from conftest import synthetic_history
 from evohist import (
@@ -111,7 +112,37 @@ def pair_history(separations):
     return synthetic_history(xs, ys)
 
 
+def hypervolume_mc_by_broadcast(front, reference, samples, rng):
+    """The estimator's coverage count as one (take, n, M) comparison per chunk."""
+    pts, reference = np.asarray(front, dtype=float), np.asarray(reference, dtype=float)
+    dominating = pts[(pts < reference).all(axis=1)]
+    if dominating.shape[0] == 0:
+        return 0.0, 0.0
+    lower = pts.min(axis=0)
+    box_volume = float(np.prod(reference - lower))
+    hits = done = 0
+    while done < samples:
+        take = min(65_536, samples - done)
+        sample = lower + rng.random((take, reference.size)) * (reference - lower)
+        hits += int((dominating[None, :, :] <= sample[:, None, :]).all(axis=2).any(axis=1).sum())
+        done += take
+    fraction = hits / samples
+    return fraction * box_volume, box_volume * float(np.sqrt(fraction * (1.0 - fraction) / samples))
+
+
 class TestNearestNeighbour:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_scipy(self, data):
+        n, dim = data.draw(st.integers(2, 212)), data.draw(st.integers(1, 24))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ys = rng.random((n, dim)) * 10 ** data.draw(st.floats(-3, 3))
+        ys[data.draw(st.lists(st.integers(0, n - 1), max_size=3))] = ys[0]
+        d = squareform(pdist(ys))
+        np.fill_diagonal(d, np.inf)
+        got = nearest_neighbour_distances(record(np.zeros((n, 1)), ys=ys), "objective")
+        assert np.array_equal(got, d.min(axis=1))
+
     def test_line_of_three(self):
         d = nearest_neighbour_distances(record([[0.0, 0.0], [0.3, 0.0], [1.0, 0.0]]))
         assert d == pytest.approx([0.3, 0.3, 0.7])
@@ -290,6 +321,21 @@ class TestHypervolumeMc:
     def test_minimum_sample_count(self):
         with pytest.raises(ContractError):
             hypervolume_mc([(0.5, 0.5)], (1.0, 1.0), 9_999, np.random.default_rng(0))
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_identical_to_broadcast_coverage(self, data):
+        m, n = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 40))
+        samples = data.draw(st.sampled_from([10_000, 65_536, 65_537, 100_003, 131_077]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        # Rounding and copied rows give duplicate and tied points; coordinates
+        # up to 1.2 put some points on or beyond the reference.
+        pts = np.round(rng.random((n, m)) * 1.2, data.draw(st.integers(1, 17)))
+        pts[data.draw(st.lists(st.integers(0, n - 1), max_size=3))] = pts[0]
+        ref = np.ones(m)
+        expected = hypervolume_mc_by_broadcast(pts, ref, samples, np.random.default_rng(seed + 1))
+        assert hypervolume_mc(pts, ref, samples, np.random.default_rng(seed + 1)) == expected
 
     def test_supports_many_objectives(self):
         pts = np.full((1, 7), 0.5)
