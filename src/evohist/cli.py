@@ -21,6 +21,7 @@ from .embedding import DEFAULT_MAX_POINTS, embed_history
 from .emit import (
     FigureOptions,
     HistoryFormatError,
+    open_atomic,
     read_embedding,
     read_history,
     read_hv_trace,
@@ -210,13 +211,13 @@ def cmd_render(args) -> int:
     _check_out_dirs(history_out, hv_out)
     if args.embedding:
         embedding, scores = read_embedding(args.embedding)
-        document = render_history_figure(embedding, scores, options)
-        Path(history_out).write_text(document, encoding="utf-8", newline="\n")
+        with open_atomic(history_out) as fh:
+            fh.write(render_history_figure(embedding, scores, options))
         outputs.append(history_out)
     if args.hv_trace:
         trace = read_hv_trace(args.hv_trace)
-        document = render_hv_figure(trace, options)
-        Path(hv_out).write_text(document, encoding="utf-8", newline="\n")
+        with open_atomic(hv_out) as fh:
+            fh.write(render_hv_figure(trace, options))
         outputs.append(hv_out)
     print(f"render: wrote {', '.join(outputs)}")
     return 0
@@ -247,11 +248,12 @@ def cmd_pipeline(args) -> int:
     for space in ("search", "objective"):
         embedding = embed_history(history, space, max_points)
         write_embedding(embedding, profile, outdir / f"embedding.{space}.csv")
-        figure = render_history_figure(embedding, profile, options)
-        (outdir / f"figure.{space}.svg").write_text(figure, encoding="utf-8", newline="\n")
+        with open_atomic(outdir / f"figure.{space}.svg") as fh:
+            fh.write(render_history_figure(embedding, profile, options))
     trace = hypervolume_trace(history, reference)
     write_hv_trace(trace, outdir / "hv.csv")
-    (outdir / "figure.hv.svg").write_text(render_hv_figure(trace, options), encoding="utf-8", newline="\n")
+    with open_atomic(outdir / "figure.hv.svg") as fh:
+        fh.write(render_hv_figure(trace, options))
     elapsed = time.perf_counter() - started
     print(
         f"pipeline: {spec.name} M={spec.M} {run_config.algorithm} "

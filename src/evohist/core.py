@@ -95,18 +95,19 @@ def dominates(a, b) -> bool:
 def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
     """Boolean matrix ``dom`` with ``dom[i, j]`` true iff row i dominates row j.
 
-    Compares one objective column at a time into two n×n accumulators, so
-    no n×n×M temporary is built.
+    Compares one objective column at a time into an n×n accumulator
+    ``le[i, j]`` (row i is no worse than row j on every objective), so no
+    n×n×M temporary is built.  Where ``le[i, j]`` holds, "strictly better
+    somewhere" is exactly ``not le[j, i]``, so dominance is ``le & ~le.T``.
     """
     y = np.asarray(objectives, dtype=float)
     n = y.shape[0]
     le = np.ones((n, n), dtype=bool)
-    lt = np.zeros((n, n), dtype=bool)
+    cmp = np.empty((n, n), dtype=bool)
     for col in y.T:
-        a, b = col[:, None], col[None, :]
-        le &= a <= b
-        lt |= a < b
-    return le & lt
+        np.less_equal(col[:, None], col[None, :], out=cmp)
+        le &= cmp
+    return le & ~le.T
 
 
 def non_dominated_subset(points) -> list[int]:

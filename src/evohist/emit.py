@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,7 @@ __all__ = [
     "RNG_ALGORITHM",
     "COLOUR_ANCHORS",
     "colour_at",
+    "open_atomic",
     "write_history",
     "read_history",
     "write_embedding",
@@ -81,7 +84,31 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_matrix(rows: np.ndarray) -> str:
-    return "[" + ", ".join("[" + ", ".join(_fmt(v) for v in row) + "]" for row in rows) + "]"
+    """A matrix as nested JSON lists of 17-significant-digit reals."""
+    n, m = rows.shape
+    row = "[" + ", ".join(["%.17g"] * m) + "]"
+    return ("[" + ", ".join([row] * n) + "]") % tuple(rows.ravel().tolist())
+
+
+@contextmanager
+def open_atomic(path):
+    """Open ``path`` for UTF-8 text with LF newlines; it appears only once complete.
+
+    Writes go to a temporary file beside ``path`` that replaces it when
+    the block exits cleanly.  On any exception the temporary file is
+    removed and ``path`` is left as it was.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def write_history(history: RunHistory, path) -> None:
@@ -100,14 +127,12 @@ def write_history(history: RunHistory, path) -> None:
         f', "mutation_probability": {_fmt(op.mutation_probability)}'
         f', "sbx_eta": {_fmt(op.sbx_eta)}'
         f', "pm_eta": {_fmt(op.pm_eta)}'
-        f', "rng_algorithm": {json.dumps(RNG_ALGORITHM)}}}'
+        f', "rng_algorithm": {json.dumps(RNG_ALGORITHM)}}}\n'
     )
-    lines = [header]
-    for rec in history.generations:
-        lines.append(f'{{"gen": {rec.generation}, "x": {_fmt_matrix(rec.x)}, "y": {_fmt_matrix(rec.y)}}}')
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    with open_atomic(path) as fh:
+        fh.write(header)
+        for rec in history.generations:
+            fh.write(f'{{"gen": {rec.generation}, "x": {_fmt_matrix(rec.x)}, "y": {_fmt_matrix(rec.y)}}}\n')
 
 
 _HEADER_FIELDS = (
@@ -230,7 +255,7 @@ def write_embedding(embedding: Embedding, profile, path) -> None:
             f"{_fmt(embedding.e1[i])},{_fmt(embedding.e2[i])},{_fmt(scores[i])},"
             f"{embedding.space},{embedding.stride}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path) as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
 
@@ -280,7 +305,7 @@ def write_hv_trace(trace: HypervolumeTrace, path) -> None:
     lines = [HV_CSV_HEADER]
     for t, value in enumerate(trace.values):
         lines.append(f"{t},{_fmt(value)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path) as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
 

@@ -66,9 +66,10 @@ def nearest_neighbour_distances(record: GenerationRecord, space="search") -> np.
     space = as_space(space)
     if record.size < 2:
         raise ContractError("nearest-neighbour distances need at least two members")
-    d = np.sqrt(pairwise_sq_distances(_space_matrix(record, space)))
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
+    sq = pairwise_sq_distances(_space_matrix(record, space))
+    np.fill_diagonal(sq, np.inf)
+    # sqrt is correctly rounded and monotone, so the root of the minimum is the minimum root.
+    return np.sqrt(sq.min(axis=1))
 
 
 def _low_median(values: np.ndarray) -> float:

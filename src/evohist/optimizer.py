@@ -14,6 +14,7 @@ history, byte for byte.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from math import comb
 
@@ -164,43 +165,17 @@ def crowding_distance(front) -> np.ndarray:
     return d
 
 
-def sbx_crossover(p1, p2, config: OperatorConfig, rng: np.random.Generator):
-    """Simulated binary crossover of two decision vectors in [0, 1]^D.
-
-    One uniform draw gates the whole pair: with probability
-    1 - crossover_probability the parents are returned unchanged (as
-    copies).  Otherwise every variable is crossed with its own spread
-    factor beta(u), which preserves the parent mean per variable before
-    clamping to the box.
-    """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    if p1.shape != p2.shape or p1.ndim != 1:
-        raise ContractError(f"parents must be equal-length vectors, got shapes {p1.shape} and {p2.shape}")
-    if rng.random() >= config.crossover_probability:
-        return p1.copy(), p2.copy()
-    u = rng.random(p1.size)
-    exponent = 1.0 / (config.sbx_eta + 1.0)
+def _sbx_kernel(p1, p2, u, eta: float):
+    """SBX children of parents ``p1``/``p2`` from uniforms ``u`` (any equal shapes)."""
+    exponent = 1.0 / (eta + 1.0)
     beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
     c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
     c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
     return np.clip(c1, 0.0, 1.0), np.clip(c2, 0.0, 1.0)
 
 
-def polynomial_mutation(x, config: OperatorConfig, rng: np.random.Generator) -> np.ndarray:
-    """Bounded polynomial mutation of a decision vector in [0, 1]^D.
-
-    Each variable mutates independently with probability
-    mutation_probability; the perturbation size shrinks near the box
-    bounds so the result stays feasible.  Exactly 2 D uniform draws are
-    consumed per call (mutation coins, then perturbation draws),
-    regardless of which variables actually mutate.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ContractError("polynomial_mutation expects a single decision vector")
-    coins = rng.random(x.size)
-    u = rng.random(x.size)
+def _pm_kernel(x, coins, u, config: OperatorConfig) -> np.ndarray:
+    """Polynomial mutation of ``x`` from mutation coins and perturbation uniforms (equal shapes)."""
     out = x.copy()
     mask = coins < config.mutation_probability
     if not mask.any():
@@ -217,6 +192,64 @@ def polynomial_mutation(x, config: OperatorConfig, rng: np.random.Generator) -> 
     delta[~lower_side] = 1.0 - val_hi[~lower_side] ** power
     out[mask] = np.clip(xm + delta, 0.0, 1.0)
     return out
+
+
+def sbx_crossover(p1, p2, config: OperatorConfig, rng: np.random.Generator):
+    """Simulated binary crossover of two decision vectors in [0, 1]^D.
+
+    One uniform draw gates the whole pair: with probability
+    1 - crossover_probability the parents are returned unchanged (as
+    copies).  Otherwise every variable is crossed with its own spread
+    factor beta(u), which preserves the parent mean per variable before
+    clamping to the box.
+    """
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    if p1.shape != p2.shape or p1.ndim != 1:
+        raise ContractError(f"parents must be equal-length vectors, got shapes {p1.shape} and {p2.shape}")
+    if rng.random() >= config.crossover_probability:
+        return p1.copy(), p2.copy()
+    return _sbx_kernel(p1, p2, rng.random(p1.size), config.sbx_eta)
+
+
+def polynomial_mutation(x, config: OperatorConfig, rng: np.random.Generator) -> np.ndarray:
+    """Bounded polynomial mutation of a decision vector in [0, 1]^D.
+
+    Each variable mutates independently with probability
+    mutation_probability; the perturbation size shrinks near the box
+    bounds so the result stays feasible.  Exactly 2 D uniform draws are
+    consumed per call (mutation coins, then perturbation draws),
+    regardless of which variables actually mutate.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ContractError("polynomial_mutation expects a single decision vector")
+    coins = rng.random(x.size)
+    return _pm_kernel(x, coins, rng.random(x.size), config)
+
+
+def _vary(X: np.ndarray, parents: np.ndarray, config: OperatorConfig, rng: np.random.Generator) -> np.ndarray:
+    """Offspring of consecutive parent pairs: SBX, then polynomial mutation of each child.
+
+    Draws exactly what ``sbx_crossover`` then two ``polynomial_mutation``
+    calls per pair would, in the same order, and applies each operator
+    once to the whole batch.
+    """
+    pairs, D = X.shape[0] // 2, X.shape[1]
+    crossed = np.zeros(pairs, dtype=bool)
+    sbx_u = np.empty((pairs, D))
+    pm_u = np.empty((pairs, 4, D))  # coins, perturbations for child 1, then child 2
+    for k in range(pairs):
+        if rng.random() < config.crossover_probability:
+            crossed[k] = True
+            rng.random(out=sbx_u[k])
+        rng.random(out=pm_u[k])
+    first, second = X[parents[0::2]], X[parents[1::2]]
+    first[crossed], second[crossed] = _sbx_kernel(first[crossed], second[crossed], sbx_u[crossed], config.sbx_eta)
+    offspring = np.empty_like(X)
+    offspring[0::2] = _pm_kernel(first, pm_u[:, 0], pm_u[:, 1], config)
+    offspring[1::2] = _pm_kernel(second, pm_u[:, 2], pm_u[:, 3], config)
+    return offspring
 
 
 def das_dennis(M: int, p: int) -> ReferenceDirectionSet:
@@ -361,11 +394,14 @@ def nsga3_select(population, target_size: int, directions: ReferenceDirectionSet
 
     dirs = directions.directions
     unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    proj = normalised @ unit.T
-    sq = np.sum(normalised * normalised, axis=1)[:, None] - proj * proj
-    dist = np.sqrt(np.maximum(sq, 0.0))
+    # Perpendicular distance sqrt(max(|v|^2 - (v.u)^2, 0)), built in place in one buffer.
+    dist = normalised @ unit.T
+    dist *= dist
+    np.subtract(np.sum(normalised * normalised, axis=1)[:, None], dist, out=dist)
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
     assoc = np.argmin(dist, axis=1)
-    assoc_dist = dist[np.arange(len(considered)), assoc]
+    assoc_dist = dist[np.arange(len(considered)), assoc].tolist()
 
     niche = np.zeros(len(directions), dtype=np.int64)
     np.add.at(niche, assoc[: len(selected)], 1)
@@ -374,21 +410,26 @@ def nsga3_select(population, target_size: int, directions: ReferenceDirectionSet
     pools: dict[int, list[int]] = {}
     for pos in range(len(selected), len(considered)):
         pools.setdefault(int(assoc[pos]), []).append(pos)
+    # levels[c]: ascending directions with survivor count c and a non-empty pool.
+    levels: dict[int, list[int]] = {}
+    for j in sorted(pools):
+        levels.setdefault(int(niche[j]), []).append(j)
 
     while len(selected) < target_size:
-        open_dirs = np.array(sorted(pools), dtype=np.int64)
-        lowest = open_dirs[niche[open_dirs] == niche[open_dirs].min()]
-        j = int(lowest[rng.integers(lowest.size)]) if lowest.size > 1 else int(lowest[0])
+        count = min(levels)
+        lowest = levels[count]
+        j = lowest.pop(int(rng.integers(len(lowest))) if len(lowest) > 1 else 0)
+        if not lowest:
+            del levels[count]
         pool = pools[j]
-        if niche[j] == 0:
-            pick = min(range(len(pool)), key=lambda i: (assoc_dist[pool[i]], pool[i]))
+        if count == 0:
+            pos = min(pool, key=lambda p: (assoc_dist[p], p))
+            pool.remove(pos)
         else:
-            pick = int(rng.integers(len(pool)))
-        pos = pool.pop(pick)
-        if not pool:
-            del pools[j]
-        niche[j] += 1
+            pos = pool.pop(int(rng.integers(len(pool))))
         selected.append(considered[pos])
+        if pool:
+            insort(levels.setdefault(count + 1, []), j)
     return selected
 
 
@@ -413,6 +454,14 @@ def run(spec: ProblemSpec, run_config: RunConfig,
     parents plus offspring.  It stops once consumed evaluations reach the
     budget, so the history holds ceil(budget / population_size)
     generations including generation 0.
+
+    Draw order: the initial population takes pop × D uniforms.  Each
+    generation then draws its parents (pop × 2 tournament integers for
+    NSGA-II, pop integers for NSGA-III), and for each parent pair k in
+    turn one crossover gate uniform, D SBX uniforms if the gate is below
+    ``crossover_probability``, then D mutation coins and D perturbation
+    uniforms for child 1 and the same for child 2.  NSGA-III niching
+    draws last, in ``nsga3_select``.
     """
     if operator_config is None:
         operator_config = OperatorConfig()
@@ -440,11 +489,7 @@ def run(spec: ProblemSpec, run_config: RunConfig,
         else:
             parents = rng.integers(0, pop, size=pop)
 
-        offspring = np.empty_like(X)
-        for i in range(0, pop, 2):
-            c1, c2 = sbx_crossover(X[parents[i]], X[parents[i + 1]], operator_config, rng)
-            offspring[i] = polynomial_mutation(c1, operator_config, rng)
-            offspring[i + 1] = polynomial_mutation(c2, operator_config, rng)
+        offspring = _vary(X, parents, operator_config, rng)
         off_Y = evaluate_batch(spec, offspring)
         evaluations += pop
 

@@ -2,6 +2,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import synthetic_history
 from evohist import (
@@ -24,7 +26,8 @@ from evohist import (
     write_history,
     write_hv_trace,
 )
-from evohist.emit import COLOUR_ANCHORS, colour_at
+from evohist import emit
+from evohist.emit import COLOUR_ANCHORS, _fmt_matrix, colour_at, open_atomic
 
 
 def tiny_history():
@@ -356,3 +359,68 @@ class TestHvFigure:
         trace = hypervolume_trace(short_run)
         svg = render_hv_figure(trace)
         assert len(elements(svg, "polyline")[0].get("points").split()) == short_run.n_generations
+
+
+finite_reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 1e300, -1e300, 1e-300, 5e-324, -5e-324, 2.2250738585072009e-308]),
+)
+
+
+class TestMatrixFormatting:
+    @given(st.integers(1, 8).flatmap(
+        lambda m: st.lists(st.lists(finite_reals, min_size=m, max_size=m), min_size=1, max_size=8)
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_template_matches_per_value_format(self, rows):
+        expected = "[" + ", ".join("[" + ", ".join(format(v, ".17g") for v in row) + "]" for row in rows) + "]"
+        assert _fmt_matrix(np.array(rows, dtype=float)) == expected
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def fail_on_third_generation(monkeypatch):
+        calls = []
+        real = emit._fmt_matrix
+
+        def flaky(rows):
+            calls.append(rows)
+            if len(calls) == 5:  # x and y per generation: call 5 is generation 2's x
+                raise RuntimeError("disk full")
+            return real(rows)
+
+        monkeypatch.setattr(emit, "_fmt_matrix", flaky)
+
+    def test_failed_write_keeps_existing_history(self, tmp_path, monkeypatch, short_run):
+        path = tmp_path / "history.jsonl"
+        path.write_bytes(b"previous contents\n")
+        self.fail_on_third_generation(monkeypatch)
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_history(short_run, path)
+        assert path.read_bytes() == b"previous contents\n"
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_creates_nothing(self, tmp_path, monkeypatch, short_run):
+        self.fail_on_third_generation(monkeypatch)
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_history(short_run, tmp_path / "history.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replaces_in_place_with_plain_file_mode(self, tmp_path, short_run):
+        path = tmp_path / "history.jsonl"
+        path.write_text("stale\n")
+        write_history(short_run, path)
+        assert read_history(path).n_generations == short_run.n_generations
+        with open(tmp_path / "plain", "w") as fh:
+            fh.write("x")
+        assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["history.jsonl", "plain"]
+
+    def test_all_writers_leave_no_temporary_file(self, tmp_path, short_run):
+        embedding = embed_history(short_run, "search")
+        profile = exploration_profile(short_run, "search")
+        write_embedding(embedding, profile, tmp_path / "embedding.csv")
+        write_hv_trace(hypervolume_trace(short_run), tmp_path / "hv.csv")
+        with open_atomic(tmp_path / "figure.svg") as fh:
+            fh.write("<svg/>\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["embedding.csv", "figure.svg", "hv.csv"]

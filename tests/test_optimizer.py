@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evohist import (
@@ -20,7 +20,7 @@ from evohist import (
     run,
     sbx_crossover,
 )
-from evohist.optimizer import default_partitions, default_population_size
+from evohist.optimizer import _normalise, _vary, default_partitions, default_population_size
 from evohist.problems import evaluate_batch
 
 
@@ -362,3 +362,138 @@ class TestRun:
         assert (h.problem, h.M, h.D) == ("dtlz2", 3, 12)
         assert h.population_size == 8 and h.evaluation_budget == 24 and h.seed == 5
         assert h.operators == OperatorConfig()
+
+
+def reference_sbx(p1, p2, config, rng):
+    """The per-pair SBX of the original run loop, kept as an oracle."""
+    if rng.random() >= config.crossover_probability:
+        return p1.copy(), p2.copy()
+    u = rng.random(p1.size)
+    exponent = 1.0 / (config.sbx_eta + 1.0)
+    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
+    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    return np.clip(c1, 0.0, 1.0), np.clip(c2, 0.0, 1.0)
+
+
+def reference_mutation(x, config, rng):
+    """The per-vector polynomial mutation of the original run loop, kept as an oracle."""
+    coins = rng.random(x.size)
+    u = rng.random(x.size)
+    out = x.copy()
+    mask = coins < config.mutation_probability
+    if not mask.any():
+        return out
+    xm, um = x[mask], u[mask]
+    power = 1.0 / (config.pm_eta + 1.0)
+    lower_side = um < 0.5
+    delta = np.empty(xm.size)
+    val_lo = 2.0 * um + (1.0 - 2.0 * um) * (1.0 - xm) ** (config.pm_eta + 1.0)
+    val_hi = 2.0 * (1.0 - um) + 2.0 * (um - 0.5) * xm ** (config.pm_eta + 1.0)
+    delta[lower_side] = val_lo[lower_side] ** power - 1.0
+    delta[~lower_side] = 1.0 - val_hi[~lower_side] ** power
+    out[mask] = np.clip(xm + delta, 0.0, 1.0)
+    return out
+
+
+def reference_niching_select(y, target_size, directions, rng):
+    """NSGA-III selection with the original per-pick ``sorted(pools)`` scan, kept as an oracle."""
+    selected, last = [], []
+    for front in fast_nondominated_sort(y):
+        if len(selected) + len(front) <= target_size:
+            selected.extend(front)
+            if len(selected) == target_size:
+                return selected
+        else:
+            last = front
+            break
+    considered = selected + last
+    sub = y[considered]
+    normalised = _normalise(sub - sub.min(axis=0))
+    dirs = directions.directions
+    unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    proj = normalised @ unit.T
+    sq = np.sum(normalised * normalised, axis=1)[:, None] - proj * proj
+    dist = np.sqrt(np.maximum(sq, 0.0))
+    assoc = np.argmin(dist, axis=1)
+    assoc_dist = dist[np.arange(len(considered)), assoc]
+    niche = np.zeros(len(directions), dtype=np.int64)
+    np.add.at(niche, assoc[: len(selected)], 1)
+    pools = {}
+    for pos in range(len(selected), len(considered)):
+        pools.setdefault(int(assoc[pos]), []).append(pos)
+    while len(selected) < target_size:
+        open_dirs = np.array(sorted(pools), dtype=np.int64)
+        lowest = open_dirs[niche[open_dirs] == niche[open_dirs].min()]
+        j = int(lowest[rng.integers(lowest.size)]) if lowest.size > 1 else int(lowest[0])
+        pool = pools[j]
+        if niche[j] == 0:
+            pick = min(range(len(pool)), key=lambda i: (assoc_dist[pool[i]], pool[i]))
+        else:
+            pick = int(rng.integers(len(pool)))
+        pos = pool.pop(pick)
+        if not pool:
+            del pools[j]
+        niche[j] += 1
+        selected.append(considered[pos])
+    return selected
+
+
+probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestBatchedOperatorsMatchPerPairOracle:
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 30),
+        st.integers(1, 120),
+        probabilities,
+        probabilities,
+        st.floats(1.0, 100.0),
+        st.floats(1.0, 100.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_variation(self, seed, D, pairs, pc, pm, sbx_eta, pm_eta):
+        config = OperatorConfig(crossover_probability=pc, mutation_probability=pm, sbx_eta=sbx_eta, pm_eta=pm_eta)
+        data = np.random.default_rng(seed)
+        X = data.random((2 * pairs, D))
+        X[data.random(X.shape) < 0.05] = 0.0
+        X[data.random(X.shape) < 0.05] = 1.0
+        parents = data.integers(0, 2 * pairs, size=2 * pairs)
+
+        oracle_rng = np.random.default_rng(seed)
+        expected = np.empty_like(X)
+        for i in range(0, 2 * pairs, 2):
+            c1, c2 = reference_sbx(X[parents[i]], X[parents[i + 1]], config, oracle_rng)
+            expected[i] = reference_mutation(c1, config, oracle_rng)
+            expected[i + 1] = reference_mutation(c2, config, oracle_rng)
+
+        batch_rng = np.random.default_rng(seed)
+        assert np.array_equal(_vary(X, parents, config, batch_rng), expected)
+        assert batch_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+        wrapper_rng = np.random.default_rng(seed)
+        for i in range(0, 2 * pairs, 2):
+            c1, c2 = sbx_crossover(X[parents[i]], X[parents[i + 1]], config, wrapper_rng)
+            assert np.array_equal(polynomial_mutation(c1, config, wrapper_rng), expected[i])
+            assert np.array_equal(polynomial_mutation(c2, config, wrapper_rng), expected[i + 1])
+        assert wrapper_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @given(st.integers(0, 2**64 - 1), st.integers(2, 6), st.integers(1, 3), st.integers(4, 80), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_niching(self, seed, M, p, n, data):
+        gen = np.random.default_rng(seed)
+        # Coarse rounding gives duplicate points and equal niche counts.
+        y = gen.random((n, M)).round(1)
+        fronts = fast_nondominated_sort(y)
+        cuttable = [f for f, front in enumerate(fronts) if len(front) >= 2]
+        assume(cuttable)
+        f = data.draw(st.sampled_from(cuttable))
+        target = sum(len(front) for front in fronts[:f]) + data.draw(st.integers(1, len(fronts[f]) - 1))
+        directions = das_dennis(M, p)
+
+        oracle_rng = np.random.default_rng(seed + 1)
+        expected = reference_niching_select(y, target, directions, oracle_rng)
+        rng = np.random.default_rng(seed + 1)
+        assert nsga3_select(y, target, directions, rng=rng) == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
