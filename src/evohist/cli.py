@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigError, ContractError, OperatorConfig
-from .embedding import DEFAULT_MAX_POINTS, embed_history
+from .embedding import DEFAULT_MAX_POINTS, as_space, embed_history, sampled_generations
 from .emit import (
     FigureOptions,
     HistoryFormatError,
@@ -130,6 +130,14 @@ def _resolve_run(args, cfg):
     return spec, run_config, operators
 
 
+def _pick_space(flag_value, cfg: dict[str, str], key: str):
+    """An embedding space from flag, config or the "search" default; unknown names are usage errors."""
+    try:
+        return as_space(_pick(flag_value, cfg, key, str, "search"))
+    except ContractError as exc:
+        raise ConfigError(f"config value {key}: {exc}") from None
+
+
 def _parse_reference(text: str | None, cfg: dict[str, str]):
     value = _pick(text, cfg, "reference", str, "auto")
     if value == "auto":
@@ -173,10 +181,10 @@ def cmd_run(args) -> int:
 def cmd_embed(args) -> int:
     _check_out_dirs(args.out)
     cfg = _config_of(args)
-    history = read_history(args.history)
-    space = _pick(args.space, cfg, "space", str, "search")
-    metric_space = _pick(args.metric_space, cfg, "metric_space", str, "search")
+    space = _pick_space(args.space, cfg, "space")
+    metric_space = _pick_space(args.metric_space, cfg, "metric_space")
     max_points = _pick(args.max_points, cfg, "max_points", int, DEFAULT_MAX_POINTS)
+    history = read_history(args.history)
     embedding = embed_history(history, space, max_points)
     profile = exploration_profile(history, metric_space)
     write_embedding(embedding, profile, args.out)
@@ -231,11 +239,15 @@ def cmd_pipeline(args) -> int:
         raise UnsupportedDimensionError(
             f"pipeline: exact hypervolume supports at most {EXACT_HV_MAX_OBJECTIVES} objectives (got {spec.M})"
         )
-    metric_space = _pick(args.metric_space, cfg, "metric_space", str, "search")
+    # The embed and hv stages would catch these too, but only after the run.
+    metric_space = _pick_space(args.metric_space, cfg, "metric_space")
     max_points = _pick(args.max_points, cfg, "max_points", int, DEFAULT_MAX_POINTS)
+    try:
+        sampled_generations(1, run_config.population_size, max_points)
+    except ContractError as exc:
+        raise ConfigError(f"pipeline: {exc}") from None
     reference = _parse_reference(args.ref, cfg)
     if not isinstance(reference, str) and reference.size != spec.M:
-        # The hv stage would catch this too, but only after the run and four artifacts.
         raise ConfigError(f"pipeline: reference has {reference.size} values, expected {spec.M} (one per objective)")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -98,16 +98,41 @@ def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
     Compares one objective column at a time into an n×n accumulator
     ``le[i, j]`` (row i is no worse than row j on every objective), so no
     n×n×M temporary is built.  Where ``le[i, j]`` holds, "strictly better
-    somewhere" is exactly ``not le[j, i]``, so dominance is ``le & ~le.T``.
+    somewhere" is exactly ``not le[j, i]``, so dominance is ``le & ~le.T``,
+    which on booleans is the single comparison ``le > le.T``.
+
+    The columns are compared as integer ranks, not as float64 values.  A
+    value's rank is the number of distinct column values below it, read
+    off the sorted column by counting where it changes value, so for any
+    two non-NaN entries ``a <= b`` exactly when ``rank(a) <= rank(b)``:
+    the map keeps order and ties (``-0.0`` ties ``0.0``, infinities rank
+    at the ends).  Ranks are below n, so they fit
+    ``np.min_scalar_type(n - 1)`` (uint8 up to n = 256), and the n×n
+    comparisons run on narrow integers.  A NaN compares false with
+    everything, so a row holding one is no worse than no row and no row
+    is no worse than it: its row and column of ``le`` are cleared, exactly
+    as the float comparisons would leave them.
     """
     y = np.asarray(objectives, dtype=float)
     n = y.shape[0]
+    columns = np.ascontiguousarray(y.T)
+    order = np.argsort(columns, axis=1)
+    ordered = np.take_along_axis(columns, order, axis=1)
+    steps = np.zeros(columns.shape, dtype=np.min_scalar_type(max(n - 1, 0)))
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=steps[:, 1:], casting="unsafe")
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, steps.cumsum(axis=1, dtype=steps.dtype), axis=1)
     le = np.ones((n, n), dtype=bool)
     cmp = np.empty((n, n), dtype=bool)
-    for col in y.T:
-        np.less_equal(col[:, None], col[None, :], out=cmp)
+    for rank in ranks:
+        np.less_equal(rank[:, None], rank, out=cmp)
         le &= cmp
-    return le & ~le.T
+    # argsort places NaN last, so only a column whose largest entry is NaN holds one.
+    if n and np.isnan(ordered[:, -1]).any():
+        nan = np.isnan(y).any(axis=1)
+        le[nan] = False
+        le[:, nan] = False
+    return np.greater(le, le.T)
 
 
 def non_dominated_subset(points) -> list[int]:

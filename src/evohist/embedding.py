@@ -122,9 +122,21 @@ def pairwise_sq_distances(vectors) -> np.ndarray:
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2 or v.shape[0] == 0:
         raise ContractError("pairwise distances need a non-empty (n, dim) matrix")
-    out = np.zeros((v.shape[0], v.shape[0]))
-    for col in v.T:
-        diff = col[:, None] - col[None, :]
+    return _sq_diff_sum(v[:, None, :], v[None, :, :])
+
+
+def _sq_diff_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of (a - b)², one column at a time in column order.
+
+    ``a`` and ``b`` broadcast over their leading axes; only the result's
+    shape is ever allocated, never one with the column axis.  Starting
+    from 0 and adding each squared difference in turn is the order of a
+    plain per-pair loop (and of scipy's ``pdist``), so every entry carries
+    exactly that loop's rounding.
+    """
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    for k in range(a.shape[-1]):
+        diff = a[..., k] - b[..., k]
         diff *= diff
         out += diff
     return out

@@ -83,11 +83,33 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _fmt_matrix(rows: np.ndarray) -> str:
-    """A matrix as nested JSON lists of 17-significant-digit reals."""
+def _fmt_rows(rows: np.ndarray) -> list[str]:
+    """Each row of a matrix as a JSON list of 17-significant-digit reals.
+
+    One ``%.17g`` template covers the whole matrix; its output never holds
+    a line break, so the rows split apart on the ones the template adds.
+    """
     n, m = rows.shape
-    row = "[" + ", ".join(["%.17g"] * m) + "]"
-    return ("[" + ", ".join([row] * n) + "]") % tuple(rows.ravel().tolist())
+    row = "[" + ", ".join(["%.17g"] * m) + "]\n"
+    return ((row * n) % tuple(rows.ravel().tolist())).splitlines()
+
+
+def _row_texts(rows: np.ndarray, previous: dict[bytes, str]) -> tuple[list[str], dict[bytes, str]]:
+    """Text of every row, reusing ``previous`` for rows seen there.
+
+    Rows are keyed by their raw float64 bytes, so a hit is the same bits
+    and prints the same text; ``-0.0`` and ``0.0`` stay distinct keys.
+    Only the rows ``previous`` lacks go through ``_fmt_rows``, in one call.
+    Returns the texts and the key → text map to pass in for the next
+    matrix.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0].tolist()
+    texts = list(map(previous.get, keys))
+    new = [i for i, text in enumerate(texts) if text is None]
+    for i, text in zip(new, _fmt_rows(rows[new])):
+        texts[i] = text
+    return texts, dict(zip(keys, texts))
 
 
 @contextmanager
@@ -112,7 +134,15 @@ def open_atomic(path):
 
 
 def write_history(history: RunHistory, path) -> None:
-    """Serialise a run to JSON-lines; see the module docstring for the schema."""
+    """Serialise a run to JSON-lines; see the module docstring for the schema.
+
+    Survivors carry over between generations, so most rows repeat a row
+    of the generation before.  Each generation's x and y rows are looked
+    up by their raw bytes in the previous generation's texts, and only
+    the rest are formatted.  Equal bytes are equal floats, and ``%.17g``
+    of a float is a fixed string, so the file is the same as formatting
+    every value afresh.  Only one generation's texts are kept at a time.
+    """
     op = history.operators
     header = (
         f'{{"format_version": {FORMAT_VERSION}'
@@ -131,8 +161,12 @@ def write_history(history: RunHistory, path) -> None:
     )
     with open_atomic(path) as fh:
         fh.write(header)
+        seen_x: dict[bytes, str] = {}
+        seen_y: dict[bytes, str] = {}
         for rec in history.generations:
-            fh.write(f'{{"gen": {rec.generation}, "x": {_fmt_matrix(rec.x)}, "y": {_fmt_matrix(rec.y)}}}\n')
+            x_texts, seen_x = _row_texts(rec.x, seen_x)
+            y_texts, seen_y = _row_texts(rec.y, seen_y)
+            fh.write(f'{{"gen": {rec.generation}, "x": [{", ".join(x_texts)}], "y": [{", ".join(y_texts)}]}}\n')
 
 
 _HEADER_FIELDS = (

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContractError, GenerationRecord, RunHistory, non_dominated_subset, objective_vector
-from .embedding import EmbeddingSpace, as_space, pairwise_sq_distances
+from .embedding import EmbeddingSpace, _sq_diff_sum, as_space
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -52,6 +52,9 @@ __all__ = [
 
 EXACT_HV_MAX_OBJECTIVES = 5
 
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
+
 
 class UnsupportedDimensionError(ValueError):
     """Raised when the exact hypervolume routine is asked for M > 5."""
@@ -62,14 +65,63 @@ def _space_matrix(record: GenerationRecord, space: EmbeddingSpace) -> np.ndarray
 
 
 def nearest_neighbour_distances(record: GenerationRecord, space="search") -> np.ndarray:
-    """Euclidean distance from each member to its closest other member."""
+    """Euclidean distance from each member to its closest other member.
+
+    Bitwise equal to the off-diagonal row minima of scipy's
+    ``squareform(pdist(v))``: each distance is the square root of the sum
+    ``e_ij = Σ_k fl((v_ik - v_jk)²)`` added in column order by the helper
+    behind ``pairwise_sq_distances``, and sqrt is correctly rounded and
+    monotone.  Only the pairs a screen keeps are summed that way, about
+    one per row on optimiser populations.
+
+    The screen is one Gram product: ``g_ij = |v_j|² - 2 v_i·v_j`` is
+    ``t_ij - |v_i|²`` up to rounding, where t_ij is the exact squared
+    distance, so within row i it orders the j as t does.  Let u = 2⁻⁵³,
+    η = 2⁻¹⁰⁷⁴ (the smallest subnormal, for underflow), d the number of
+    columns, R² = max_j |v_j|² and γ_k = ku / (1 - ku).  The standard
+    rounding model, which holds for any summation order BLAS may use,
+    gives, for (d + 2)u ≤ 10⁻³:
+
+    - |g_ij - (t_ij - |v_i|²)| ≤ γ_{d+1}(R + |v_i|)² + 3dη: the norm and
+      the dot product are each off by at most γ_d Σ_k |v_ik v_jk| ≤
+      γ_d |v_i||v_j| (Cauchy-Schwarz), and the subtraction adds one u;
+    - |e_ij - t_ij| ≤ γ_{d+2} t_ij + dη, a sum of d non-negative rounded
+      squares of rounded differences, with t_ij ≤ (R + |v_i|)².
+
+    If j* minimises e_ij and k minimises g_ij over j ≠ i, then
+    e_ij* ≤ e_ik gives g_ij* - g_ik ≤ 4.01 γ_{d+2}(R + |v_i|)² + 8.01 dη
+    ≤ 8.02 γ_{d+2}(R² + |v_i|²) + 8.01 dη.  The screen keeps every j with
+    ``g_ij <= min_j g_ij + τ_i``, where
+
+        τ_i = 16 (d + 2) (u (R² + |v_i|²) + η),
+
+    about twice that, which also covers rounding the threshold and the
+    computed R² and |v_i|².  So j* is always kept, and the minimum of e
+    over the kept pairs is the minimum over all pairs.  Below
+    4(R² + |v_i|²) ≤ the largest float, no step of row i's screen or sums
+    can overflow; a row where that bound is not finite keeps every other
+    row.
+    """
     space = as_space(space)
     if record.size < 2:
         raise ContractError("nearest-neighbour distances need at least two members")
-    sq = pairwise_sq_distances(_space_matrix(record, space))
-    np.fill_diagonal(sq, np.inf)
-    # sqrt is correctly rounded and monotone, so the root of the minimum is the minimum root.
-    return np.sqrt(sq.min(axis=1))
+    v = _space_matrix(record, space)
+    n, d = v.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # rows with overflow keep every pair
+        g = v @ v.T
+        norms = g.diagonal().copy()
+        g *= -2.0
+        g += norms
+        np.fill_diagonal(g, np.inf)
+        span = 4.0 * (norms.max() + norms)
+        threshold = g.min(axis=1) + 4 * (d + 2) * (_UNIT_ROUNDOFF * span + 4 * _SMALLEST_SUBNORMAL)
+        keep = g <= threshold[:, None]
+    keep[~np.isfinite(span)] = True
+    np.fill_diagonal(keep, False)
+    # Row-major order groups each row's kept pairs; every row keeps at least one.
+    rows, cols = np.divmod(np.flatnonzero(keep), n)
+    sq = _sq_diff_sum(v[rows], v[cols])
+    return np.sqrt(np.minimum.reduceat(sq, np.searchsorted(rows, np.arange(n))))
 
 
 def _low_median(values: np.ndarray) -> float:

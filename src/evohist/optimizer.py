@@ -130,14 +130,18 @@ def fast_nondominated_sort(population) -> list[list[int]]:
     if y.shape[0] == 0:
         raise ContractError("population must be non-empty")
     dom = dominance_matrix(y)
-    counts = dom.sum(axis=0).astype(np.int64)
+    # A count is below n and never drops under zero (a member's dominators
+    # all join earlier fronts), so the narrowest unsigned type holding n
+    # sums exactly and makes the column sums cheaper.
+    width = np.min_scalar_type(y.shape[0])
+    counts = dom.sum(axis=0, dtype=width)
     assigned = np.zeros(y.shape[0], dtype=bool)
     fronts: list[list[int]] = []
     while not assigned.all():
         current = np.flatnonzero(~assigned & (counts == 0))
-        fronts.append([int(i) for i in current])
+        fronts.append(current.tolist())
         assigned[current] = True
-        counts -= dom[current].sum(axis=0)
+        counts -= dom[current].sum(axis=0, dtype=width)
     return fronts
 
 

@@ -117,6 +117,20 @@ class TestEmbed:
         assert main(["embed", "--history", str(history), "--out", str(again)]) == 0
         assert again.read_bytes() == embedding.read_bytes()
 
+    @pytest.mark.parametrize("key", ["space", "metric_space"])
+    def test_unknown_space_in_config_rejected_before_reading(self, artifacts, tmp_path, capsys, monkeypatch, key):
+        def must_not_read(*args):
+            raise AssertionError(f"embed read the history before rejecting {key}")
+
+        monkeypatch.setattr("evohist.cli.read_history", must_not_read)
+        _, history, _, _ = artifacts
+        cfg = tmp_path / "space.cfg"
+        cfg.write_text(f"{key} = bogus\n")
+        out = tmp_path / "e.csv"
+        assert main(["embed", "--history", str(history), "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown space 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHv:
     def test_trace_shape(self, artifacts):
@@ -248,6 +262,39 @@ class TestPipeline:
             flags += ["--ref", "1,1"]
         assert main(["pipeline", *flags, "--outdir", str(outdir)]) == 2
         assert "expected 3" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_max_points_below_two_generations_rejected_before_running(self, tmp_path, capsys, monkeypatch,
+                                                                      via_config):
+        def must_not_run(*args):
+            raise AssertionError("pipeline optimised before rejecting max_points")
+
+        monkeypatch.setattr("evohist.cli.run", must_not_run)
+        outdir = tmp_path / "out"
+        flags = ["--problem", "dtlz2", "--pop", "8", "--evaluations", "40"]
+        if via_config:
+            cfg = tmp_path / "points.cfg"
+            cfg.write_text("max_points = 15\n")
+            flags += ["--config", str(cfg)]
+        else:
+            flags += ["--max-points", "0"]
+        assert main(["pipeline", *flags, "--outdir", str(outdir)]) == 2
+        assert "must allow at least two generations of 8" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_unknown_metric_space_rejected_before_running(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("pipeline optimised before rejecting metric_space")
+
+        monkeypatch.setattr("evohist.cli.run", must_not_run)
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "space.cfg"
+        cfg.write_text("metric_space = bogus\n")
+        argv = ["pipeline", "--problem", "dtlz2", "--pop", "8", "--evaluations", "40",
+                "--config", str(cfg), "--outdir", str(outdir)]
+        assert main(argv) == 2
+        assert "unknown space 'bogus'" in capsys.readouterr().err
         assert not outdir.exists()
 
 

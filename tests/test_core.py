@@ -89,9 +89,22 @@ class TestDominanceMatrix:
         y = rng.integers(-2, 3, (n, m)) * 0.5
         y[rng.random((n, m)) < data.draw(st.floats(0, 0.3))] = np.inf
         y[rng.random((n, m)) < data.draw(st.floats(0, 0.3))] = -np.inf
+        y[rng.random((n, m)) < data.draw(st.floats(0, 0.1))] = np.nan
+        y[rng.random((n, m)) < data.draw(st.floats(0, 0.3))] *= -1.0  # 0.0 becomes -0.0
         got = dominance_matrix(y)
         assert got.dtype == bool and got.shape == (n, n)
         assert np.array_equal(got, dominance_by_broadcast(y))
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 300])
+    def test_distinct_values_across_rank_widths(self, n):
+        # n distinct values per column use every rank up to n - 1, on both
+        # sides of the 8-bit limit.
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((n, 4))
+        y[rng.integers(0, n, 5), rng.integers(0, 4, 5)] = np.nan
+        assert np.array_equal(dominance_matrix(y), dominance_by_broadcast(y))
+        strided = y[:, :2]  # a column slice, not a contiguous matrix
+        assert np.array_equal(dominance_matrix(strided), dominance_by_broadcast(strided))
 
 
 class TestNonDominatedSubset:

@@ -27,7 +27,7 @@ from evohist import (
     write_hv_trace,
 )
 from evohist import emit
-from evohist.emit import COLOUR_ANCHORS, _fmt_matrix, colour_at, open_atomic
+from evohist.emit import COLOUR_ANCHORS, _fmt_rows, colour_at, open_atomic
 
 
 def tiny_history():
@@ -373,23 +373,69 @@ class TestMatrixFormatting:
     ))
     @settings(max_examples=200, deadline=None)
     def test_template_matches_per_value_format(self, rows):
-        expected = "[" + ", ".join("[" + ", ".join(format(v, ".17g") for v in row) + "]" for row in rows) + "]"
-        assert _fmt_matrix(np.array(rows, dtype=float)) == expected
+        expected = ["[" + ", ".join(format(v, ".17g") for v in row) + "]" for row in rows]
+        assert _fmt_rows(np.array(rows, dtype=float)) == expected
+
+    def test_no_rows(self):
+        assert _fmt_rows(np.empty((0, 3))) == []
+
+
+def per_value_line(rec):
+    """One history line formatted value by value: the oracle for the row-reusing writer."""
+    def matrix(rows):
+        return "[" + ", ".join("[" + ", ".join(format(v, ".17g") for v in row) + "]" for row in rows) + "]"
+    return f'{{"gen": {rec.generation}, "x": {matrix(rec.x)}, "y": {matrix(rec.y)}}}'
+
+
+class TestHistoryRowReuse:
+    def test_matches_per_value_format(self, tmp_path):
+        a, b, c, d = [0.0, 0.5, 1 / 3], [1.0, 5e-324, 0.25], [0.1, 0.2, 0.3], [0.7, 0.0, 1.0]
+        a_neg = [-0.0, 0.5, 1 / 3]  # the same values as a, but a different bit pattern
+        xs = [
+            [a, a, b],      # a duplicate row within one generation
+            [a_neg, b, c],  # 0.0 -> -0.0 between generations
+            [c, d, d],
+            [a, d, a_neg],  # a recurs after a one-generation gap, beside its -0.0 twin
+        ]
+        ys = [[[v * 7.0 for v in row[:2]] for row in gen] for gen in xs]
+        ys[2][0] = [-0.0, 1e300]
+        ys[3][2] = [0.0, 1e300]
+        history = synthetic_history(xs, ys)
+        path = tmp_path / "history.jsonl"
+        write_history(history, path)
+        lines = path.read_text().splitlines()[1:]
+        assert lines == [per_value_line(rec) for rec in history.generations]
+        assert '"x": [[-0, 0.5' in lines[1] and '"x": [[0, 0.5' in lines[3] and "[-0, 0.5" in lines[3]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_recurrence_matches_per_value_format(self, tmp_path_factory, data):
+        pop, dim, gens = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        unit = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1 / 3, 5e-324, 2.2250738585072009e-308])
+        pool_x = data.draw(st.lists(st.lists(unit, min_size=dim, max_size=dim), min_size=1, max_size=5))
+        pool_y = data.draw(st.lists(st.lists(finite_reals, min_size=2, max_size=2), min_size=1, max_size=5))
+        pick = st.lists(st.integers(0, 4), min_size=pop, max_size=pop)
+        xs = [[pool_x[i % len(pool_x)] for i in data.draw(pick)] for _ in range(gens)]
+        ys = [[pool_y[i % len(pool_y)] for i in data.draw(pick)] for _ in range(gens)]
+        history = synthetic_history(xs, ys)
+        path = tmp_path_factory.mktemp("history") / "history.jsonl"
+        write_history(history, path)
+        assert path.read_text().splitlines()[1:] == [per_value_line(rec) for rec in history.generations]
 
 
 class TestAtomicWrites:
     @staticmethod
     def fail_on_third_generation(monkeypatch):
         calls = []
-        real = emit._fmt_matrix
+        real = emit._fmt_rows
 
         def flaky(rows):
             calls.append(rows)
-            if len(calls) == 5:  # x and y per generation: call 5 is generation 2's x
+            if len(calls) == 5:  # one call for x, one for y per generation: call 5 is generation 2's x
                 raise RuntimeError("disk full")
             return real(rows)
 
-        monkeypatch.setattr(emit, "_fmt_matrix", flaky)
+        monkeypatch.setattr(emit, "_fmt_rows", flaky)
 
     def test_failed_write_keeps_existing_history(self, tmp_path, monkeypatch, short_run):
         path = tmp_path / "history.jsonl"

@@ -143,6 +143,28 @@ class TestNearestNeighbour:
         got = nearest_neighbour_distances(record(np.zeros((n, 1)), ys=ys), "objective")
         assert np.array_equal(got, d.min(axis=1))
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_scipy_on_hard_clouds(self, data):
+        # Clouds where a Gram-product distance alone goes wrong: far from
+        # the origin, nearly tied, or with squares that overflow.
+        n, dim = data.draw(st.integers(2, 212)), data.draw(st.integers(1, 24))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["translated", "near-tie", "overflow"]))
+        if kind == "translated":
+            ys = 10 ** data.draw(st.floats(3, 6)) + rng.random((n, dim)) * 1e-3
+        elif kind == "near-tie":
+            steps = rng.integers(-2, 3, (n, dim)) * 10 ** data.draw(st.floats(-16, -12))
+            ys = rng.random(dim) + steps
+        else:
+            ys = rng.random((n, dim)) * rng.choice([-1.0, 1.0], (n, dim)) * 10 ** data.draw(st.floats(150, 308))
+        ys[data.draw(st.lists(st.integers(0, n - 1), max_size=3))] = ys[0]
+        with np.errstate(over="ignore"):
+            d = squareform(pdist(ys))
+            np.fill_diagonal(d, np.inf)
+            got = nearest_neighbour_distances(record(np.zeros((n, 1)), ys=ys), "objective")
+        assert np.array_equal(got, d.min(axis=1))
+
     def test_line_of_three(self):
         d = nearest_neighbour_distances(record([[0.0, 0.0], [0.3, 0.0], [1.0, 0.0]]))
         assert d == pytest.approx([0.3, 0.3, 0.7])

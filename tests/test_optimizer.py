@@ -68,6 +68,12 @@ class TestSort:
         pts = np.random.default_rng(seed).random((60, m)).round(2)
         assert fast_nondominated_sort(pts) == peel_off_fronts(pts)
 
+    @pytest.mark.parametrize("n", [255, 256, 300])
+    def test_long_chain_counts_past_eight_bits(self, n):
+        # Member k of a chain has k dominators, so counts reach n - 1.
+        pts = np.repeat(np.arange(n, dtype=float)[::-1, None], 3, axis=1)
+        assert fast_nondominated_sort(pts) == [[k] for k in range(n)[::-1]]
+
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             fast_nondominated_sort(np.empty((0, 2)))
