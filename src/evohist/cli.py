@@ -4,7 +4,8 @@ Every option can come from three places with fixed precedence: explicit
 flags beat values from a ``--config`` file (plain ``key = value`` lines,
 ``#`` comments, unknown keys rejected), which beat built-in defaults.
 Exit codes: 0 success, 1 I/O or data errors, 2 usage or configuration
-errors.
+errors.  Each command resolves and checks its options before it runs a
+stage, and ``pipeline`` runs the same stage functions as the subcommands.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from .core import ConfigError, ContractError, OperatorConfig
 from .embedding import DEFAULT_MAX_POINTS, as_space, embed_history, sampled_generations
 from .emit import (
-    FigureOptions,
     HistoryFormatError,
     open_atomic,
     read_embedding,
@@ -138,6 +138,21 @@ def _pick_space(flag_value, cfg: dict[str, str], key: str):
         raise ConfigError(f"config value {key}: {exc}") from None
 
 
+def _resolve_embed(args, cfg):
+    """The embed stage's exploration metric space and point cap, known before any history is read."""
+    metric_space = _pick_space(args.metric_space, cfg, "metric_space")
+    max_points = _pick(args.max_points, cfg, "max_points", int, DEFAULT_MAX_POINTS)
+    return metric_space, max_points
+
+
+def _check_max_points(max_points: int, population_size: int) -> None:
+    """The point cap must fit two generations of the population it will sample."""
+    try:
+        sampled_generations(1, population_size, max_points)
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _parse_reference(text: str | None, cfg: dict[str, str]):
     value = _pick(text, cfg, "reference", str, "auto")
     if value == "auto":
@@ -151,6 +166,16 @@ def _parse_reference(text: str | None, cfg: dict[str, str]):
     return ref
 
 
+def _check_reference(reference, M: int) -> None:
+    """Exact hv scores at most EXACT_HV_MAX_OBJECTIVES objectives, against one reference value per objective."""
+    if M > EXACT_HV_MAX_OBJECTIVES:
+        raise UnsupportedDimensionError(
+            f"exact hypervolume supports at most {EXACT_HV_MAX_OBJECTIVES} objectives (got {M})"
+        )
+    if not isinstance(reference, str) and reference.size != M:
+        raise ConfigError(f"reference has {reference.size} values, expected {M} (one per objective)")
+
+
 def _check_out_dirs(*paths) -> None:
     """Fail before a stage runs when an output's directory does not exist.
 
@@ -162,13 +187,53 @@ def _check_out_dirs(*paths) -> None:
             raise OSError(f"cannot write {path}: {parent} is not an existing directory")
 
 
+# Stages, shared by `pipeline` and the subcommands.  Each package function
+# they call is called nowhere else, through this module's globals: the
+# names the benchmark's tracer and the tests replace.
+
+
+def _run_stage(spec, run_config, operators, out):
+    history = run(spec, run_config, operators)
+    write_history(history, out)
+    return history
+
+
+def _read_stage(path):
+    return read_history(path)
+
+
+def _profile_stage(history, metric_space):
+    return exploration_profile(history, metric_space)
+
+
+def _embed_stage(history, space, max_points, profile, out):
+    embedding = embed_history(history, space, max_points)
+    write_embedding(embedding, profile, out)
+    return embedding
+
+
+def _hv_stage(history, reference, out):
+    trace = hypervolume_trace(history, reference)
+    write_hv_trace(trace, out)
+    return trace
+
+
+def _render_history_stage(embedding, scores, out) -> None:
+    with open_atomic(out) as fh:
+        fh.write(render_history_figure(embedding, scores))
+
+
+def _render_hv_stage(trace, out) -> None:
+    with open_atomic(out) as fh:
+        fh.write(render_hv_figure(trace))
+
+
 def cmd_run(args) -> int:
     _check_out_dirs(args.out)
     cfg = _config_of(args)
     spec, run_config, operators = _resolve_run(args, cfg)
     started = time.perf_counter()
-    history = run(spec, run_config, operators)
-    write_history(history, args.out)
+    history = _run_stage(spec, run_config, operators, args.out)
     elapsed = time.perf_counter() - started
     print(
         f"run: {spec.name} M={spec.M} {run_config.algorithm} "
@@ -182,12 +247,11 @@ def cmd_embed(args) -> int:
     _check_out_dirs(args.out)
     cfg = _config_of(args)
     space = _pick_space(args.space, cfg, "space")
-    metric_space = _pick_space(args.metric_space, cfg, "metric_space")
-    max_points = _pick(args.max_points, cfg, "max_points", int, DEFAULT_MAX_POINTS)
-    history = read_history(args.history)
-    embedding = embed_history(history, space, max_points)
-    profile = exploration_profile(history, metric_space)
-    write_embedding(embedding, profile, args.out)
+    metric_space, max_points = _resolve_embed(args, cfg)
+    history = _read_stage(args.history)
+    _check_max_points(max_points, history.population_size)
+    profile = _profile_stage(history, metric_space)
+    embedding = _embed_stage(history, space, max_points, profile, args.out)
     print(
         f"embed: space={embedding.space} points={embedding.n_points} "
         f"stride={embedding.stride} -> {args.out}"
@@ -198,10 +262,10 @@ def cmd_embed(args) -> int:
 def cmd_hv(args) -> int:
     _check_out_dirs(args.out)
     cfg = _config_of(args)
-    history = read_history(args.history)
     reference = _parse_reference(args.ref, cfg)
-    trace = hypervolume_trace(history, reference)
-    write_hv_trace(trace, args.out)
+    history = _read_stage(args.history)
+    _check_reference(reference, history.M)
+    trace = _hv_stage(history, reference, args.out)
     print(f"hv: {len(trace)} generations -> {args.out}")
     return 0
 
@@ -209,7 +273,6 @@ def cmd_hv(args) -> int:
 def cmd_render(args) -> int:
     if not args.embedding and not args.hv_trace:
         raise ConfigError("nothing to render: pass --embedding and/or --hv-trace")
-    options = FigureOptions()
     outputs = []
     if args.embedding and args.hv_trace:
         base = args.out[:-4] if args.out.endswith(".svg") else args.out
@@ -219,53 +282,36 @@ def cmd_render(args) -> int:
     _check_out_dirs(history_out, hv_out)
     if args.embedding:
         embedding, scores = read_embedding(args.embedding)
-        with open_atomic(history_out) as fh:
-            fh.write(render_history_figure(embedding, scores, options))
+        _render_history_stage(embedding, scores, history_out)
         outputs.append(history_out)
     if args.hv_trace:
         trace = read_hv_trace(args.hv_trace)
-        with open_atomic(hv_out) as fh:
-            fh.write(render_hv_figure(trace, options))
+        _render_hv_stage(trace, hv_out)
         outputs.append(hv_out)
     print(f"render: wrote {', '.join(outputs)}")
     return 0
 
 
 def cmd_pipeline(args) -> int:
+    # Every option is checked before optimising or creating --outdir; the
+    # embed and hv stages would only meet a bad one after the run.
     cfg = _config_of(args)
     spec, run_config, operators = _resolve_run(args, cfg)
-    if spec.M > EXACT_HV_MAX_OBJECTIVES:
-        # The hv stage comes last; refuse before optimising or creating --outdir.
-        raise UnsupportedDimensionError(
-            f"pipeline: exact hypervolume supports at most {EXACT_HV_MAX_OBJECTIVES} objectives (got {spec.M})"
-        )
-    # The embed and hv stages would catch these too, but only after the run.
-    metric_space = _pick_space(args.metric_space, cfg, "metric_space")
-    max_points = _pick(args.max_points, cfg, "max_points", int, DEFAULT_MAX_POINTS)
-    try:
-        sampled_generations(1, run_config.population_size, max_points)
-    except ContractError as exc:
-        raise ConfigError(f"pipeline: {exc}") from None
+    metric_space, max_points = _resolve_embed(args, cfg)
+    _check_max_points(max_points, run_config.population_size)
     reference = _parse_reference(args.ref, cfg)
-    if not isinstance(reference, str) and reference.size != spec.M:
-        raise ConfigError(f"pipeline: reference has {reference.size} values, expected {spec.M} (one per objective)")
+    _check_reference(reference, spec.M)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    options = FigureOptions()
 
     started = time.perf_counter()
-    history = run(spec, run_config, operators)
-    write_history(history, outdir / "history.jsonl")
-    profile = exploration_profile(history, metric_space)
+    history = _run_stage(spec, run_config, operators, outdir / "history.jsonl")
+    profile = _profile_stage(history, metric_space)
     for space in ("search", "objective"):
-        embedding = embed_history(history, space, max_points)
-        write_embedding(embedding, profile, outdir / f"embedding.{space}.csv")
-        with open_atomic(outdir / f"figure.{space}.svg") as fh:
-            fh.write(render_history_figure(embedding, profile, options))
-    trace = hypervolume_trace(history, reference)
-    write_hv_trace(trace, outdir / "hv.csv")
-    with open_atomic(outdir / "figure.hv.svg") as fh:
-        fh.write(render_hv_figure(trace, options))
+        embedding = _embed_stage(history, space, max_points, profile, outdir / f"embedding.{space}.csv")
+        _render_history_stage(embedding, profile, outdir / f"figure.{space}.svg")
+    trace = _hv_stage(history, reference, outdir / "hv.csv")
+    _render_hv_stage(trace, outdir / "figure.hv.svg")
     elapsed = time.perf_counter() - started
     print(
         f"pipeline: {spec.name} M={spec.M} {run_config.algorithm} "

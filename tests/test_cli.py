@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from evohist.cli import main
 
 RUN_FLAGS = ["--pop", "8", "--evaluations", "80", "--seed", "5"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +133,25 @@ class TestEmbed:
         assert "unknown space 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_max_points_below_two_generations_rejected_before_profiling(self, artifacts, tmp_path, capsys,
+                                                                        monkeypatch, via_config):
+        def must_not_profile(*args):
+            raise AssertionError("embed scored exploration before rejecting max_points")
+
+        monkeypatch.setattr("evohist.cli.exploration_profile", must_not_profile)
+        _, history, _, _ = artifacts
+        if via_config:
+            cfg = tmp_path / "points.cfg"
+            cfg.write_text("max_points = 15\n")
+            flags = ["--config", str(cfg)]
+        else:
+            flags = ["--max-points", "0"]
+        out = tmp_path / "e.csv"
+        assert main(["embed", "--history", str(history), *flags, "--out", str(out)]) == 2
+        assert "must allow at least two generations of 8" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHv:
     def test_trace_shape(self, artifacts):
@@ -158,10 +179,20 @@ class TestHv:
         assert main(["hv", "--history", str(history), "--ref", "a,b",
                      "--out", str(tmp_path / "t.csv")]) == 2
 
+    def test_malformed_reference_rejected_before_reading(self, artifacts, tmp_path, capsys, monkeypatch):
+        def must_not_read(*args):
+            raise AssertionError("hv read the history before rejecting the reference")
+
+        monkeypatch.setattr("evohist.cli.read_history", must_not_read)
+        _, history, _, _ = artifacts
+        assert main(["hv", "--history", str(history), "--ref", "a,b",
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert "malformed reference" in capsys.readouterr().err
+
     def test_wrong_dimension_reference(self, artifacts, tmp_path):
         _, history, _, _ = artifacts
         assert main(["hv", "--history", str(history), "--ref", "1,1",
-                     "--out", str(tmp_path / "t.csv")]) == 1
+                     "--out", str(tmp_path / "t.csv")]) == 2
 
     def test_corrupt_history(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -227,6 +258,27 @@ class TestPipeline:
         assert main(["pipeline", *flags, "--outdir", str(b)]) == 0
         for name in self.EXPECTED:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("run_flags, embed_flags, hv_flags", [
+        (["--problem", "dtlz2", "--objectives", "3", "--pop", "12", "--evaluations", "120", "--seed", "5"], [], []),
+        (["--problem", "dtlz1", "--objectives", "4", "--evaluations", "1000", "--seed", "9"],
+         ["--metric-space", "objective", "--max-points", "400"], ["--ref", "500,500,500,500"]),
+    ])
+    def test_same_bytes_as_its_subcommands(self, tmp_path, run_flags, embed_flags, hv_flags):
+        whole, parts = tmp_path / "pipeline", tmp_path / "parts"
+        assert main(["pipeline", *run_flags, *embed_flags, *hv_flags, "--outdir", str(whole)]) == 0
+        parts.mkdir()
+        history, trace = str(parts / "history.jsonl"), str(parts / "hv.csv")
+        assert main(["run", *run_flags, "--out", history]) == 0
+        for space in ("search", "objective"):
+            embedding = str(parts / f"embedding.{space}.csv")
+            assert main(["embed", "--history", history, "--space", space, *embed_flags, "--out", embedding]) == 0
+            assert main(["render", "--embedding", embedding, "--out", str(parts / f"figure.{space}.svg")]) == 0
+        assert main(["hv", "--history", history, *hv_flags, "--out", trace]) == 0
+        assert main(["render", "--hv-trace", trace, "--out", str(parts / "figure.hv.svg")]) == 0
+        assert {p.name for p in parts.iterdir()} == self.EXPECTED
+        for name in self.EXPECTED:
+            assert (whole / name).read_bytes() == (parts / name).read_bytes(), name
 
     @pytest.mark.parametrize("via_config", [False, True])
     def test_too_many_objectives_rejected_before_running(self, tmp_path, capsys, monkeypatch, via_config):
@@ -391,9 +443,57 @@ class TestParser:
         capsys.readouterr()
 
 
+class TestTracedStages:
+    """The benchmark's tracer wraps the package functions at the names cli looks them up under.
+
+    Pinning the spans directly under ``cli.main`` keeps every stage on a
+    hooked name, and the exploration profile computed once per command.
+    """
+
+    STAGES = {
+        "pipeline": {
+            "optimizer.run": 1, "emit.write_history": 1, "metrics.exploration_profile": 1,
+            "embedding.embed_search": 1, "embedding.embed_objective": 1, "emit.write_embedding": 2,
+            "emit.render_history_figure": 2, "metrics.hypervolume_trace": 1, "emit.write_hv_trace": 1,
+            "emit.render_hv_figure": 1,
+        },
+        "run": {"optimizer.run": 1, "emit.write_history": 1},
+        "embed": {
+            "emit.read_history": 1, "metrics.exploration_profile": 1, "embedding.embed_search": 1,
+            "emit.write_embedding": 1,
+        },
+        "hv": {"emit.read_history": 1, "metrics.hypervolume_trace": 1, "emit.write_hv_trace": 1},
+        "render": {
+            "emit.read_embedding": 1, "emit.render_history_figure": 1, "emit.read_hv_trace": 1,
+            "emit.render_hv_figure": 1,
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(STAGES))
+    def test_stage_spans_under_main(self, artifacts, tmp_path, command):
+        _, history, embedding, trace = artifacts
+        argv = {
+            "pipeline": ["pipeline", "--problem", "dtlz2", "--pop", "8", "--evaluations", "40", "--seed", "1",
+                         "--outdir", str(tmp_path / "out")],
+            "run": ["run", "--problem", "dtlz2", *RUN_FLAGS, "--out", str(tmp_path / "h.jsonl")],
+            "embed": ["embed", "--history", str(history), "--out", str(tmp_path / "e.csv")],
+            "hv": ["hv", "--history", str(history), "--out", str(tmp_path / "t.csv")],
+            "render": ["render", "--embedding", str(embedding), "--hv-trace", str(trace),
+                       "--out", str(tmp_path / "f.svg")],
+        }[command]
+        spans_path = tmp_path / "spans.json"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        subprocess.run([sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans_path), "--", *argv],
+                       env=env, capture_output=True, text=True, check=True)
+        spans = json.loads(spans_path.read_text())["spans"]
+        main_ids = {span_id for span_id, _, name, _, _ in spans if name == "cli.main"}
+        assert len(main_ids) == 1
+        assert Counter(name for _, parent, name, _, _ in spans if parent in main_ids) == self.STAGES[command]
+
+
 def test_cli_import_leaves_scipy_out():
     """scipy is a test-only dependency; importing it would cost every CLI start."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-c", "import evohist.cli, sys; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
