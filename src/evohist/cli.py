@@ -280,12 +280,16 @@ def cmd_render(args) -> int:
     else:
         history_out = hv_out = args.out
     _check_out_dirs(history_out, hv_out)
+    # Both inputs are read before either figure is written, so a bad one
+    # leaves no output behind.
     if args.embedding:
         embedding, scores = read_embedding(args.embedding)
+    if args.hv_trace:
+        trace = read_hv_trace(args.hv_trace)
+    if args.embedding:
         _render_history_stage(embedding, scores, history_out)
         outputs.append(history_out)
     if args.hv_trace:
-        trace = read_hv_trace(args.hv_trace)
         _render_hv_stage(trace, hv_out)
         outputs.append(hv_out)
     print(f"render: wrote {', '.join(outputs)}")

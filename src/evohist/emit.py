@@ -260,11 +260,14 @@ EMBEDDING_CSV_HEADER = "gen,idx,e1,e2,score,space,stride"
 def _point_scores(embedding: Embedding, profile) -> np.ndarray:
     """Per-embedded-point scores from a profile object or a plain array."""
     if hasattr(profile, "score_at"):
-        if embedding.generation.max() >= profile.score.shape[0]:
-            raise ContractError("profile does not cover all sampled generations")
-        return np.array(
-            [profile.score_at(g, i) for g, i in zip(embedding.generation, embedding.member_index)]
-        )
+        n_gen, pop = profile.score.shape
+        gen, idx = embedding.generation, embedding.member_index
+        if gen.min() < 0 or gen.max() >= n_gen or idx.min() < 0 or idx.max() >= pop:
+            raise ContractError(
+                f"profile of {n_gen} generations x {pop} members does not cover every "
+                f"embedded point (generations {gen.min()}..{gen.max()}, members {idx.min()}..{idx.max()})"
+            )
+        return profile.score[gen, idx]
     scores = np.asarray(profile, dtype=float)
     if scores.shape != (embedding.n_points,):
         raise ContractError(
@@ -273,25 +276,29 @@ def _point_scores(embedding: Embedding, profile) -> np.ndarray:
     return scores
 
 
+def _interleave(*columns: np.ndarray) -> list:
+    """Row-major values of equal-length columns, as Python numbers for a ``%`` template."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        flat[k :: len(columns)] = column.tolist()
+    return flat
+
+
 def write_embedding(embedding: Embedding, profile, path) -> None:
     """Write an embedding plus per-point exploration scores as CSV.
 
     ``profile`` is an ExplorationProfile covering every sampled
     generation, or a pre-extracted score array aligned with the points.
-    Rows are sorted by (gen, idx).
+    Rows are sorted by (gen, idx) and formatted by one template, whose
+    ``%.17g`` prints a float exactly as ``_fmt`` does.
     """
     scores = _point_scores(embedding, profile)
     order = np.lexsort((embedding.member_index, embedding.generation))
-    lines = [EMBEDDING_CSV_HEADER]
-    for i in order:
-        lines.append(
-            f"{embedding.generation[i]},{embedding.member_index[i]},"
-            f"{_fmt(embedding.e1[i])},{_fmt(embedding.e2[i])},{_fmt(scores[i])},"
-            f"{embedding.space},{embedding.stride}"
-        )
+    row = f"%d,%d,%.17g,%.17g,%.17g,{embedding.space},{embedding.stride}\n"
+    columns = (embedding.generation, embedding.member_index, embedding.e1, embedding.e2, scores)
     with open_atomic(path) as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(EMBEDDING_CSV_HEADER + "\n")
+        fh.write((row * embedding.n_points) % tuple(_interleave(*(c[order] for c in columns))))
 
 
 def read_embedding(path) -> tuple[Embedding, np.ndarray]:
@@ -376,14 +383,25 @@ class FigureOptions:
             raise ContractError("figure dimensions must be positive")
 
 
+def _colours(scores) -> np.ndarray:
+    """The five-anchor colour ramp over an array of scores, as (n, 3) ints.
+
+    Scores are clamped to [0, 1]; a score equal to an anchor takes the
+    segment below it, and channels round half to even.  NaN maps to the
+    top anchor.
+    """
+    anchors = np.array([position for position, _ in COLOUR_ANCHORS])
+    rgb = np.array([colour for _, colour in COLOUR_ANCHORS], dtype=float)
+    s = np.asarray(scores, dtype=float)
+    s = np.clip(np.where(np.isnan(s), 1.0, s), 0.0, 1.0)
+    k = np.searchsorted(anchors[1:], s, side="left")
+    w = ((s - anchors[k]) / (anchors[k + 1] - anchors[k]))[:, None]
+    return np.rint(rgb[k] + (rgb[k + 1] - rgb[k]) * w).astype(np.int64)
+
+
 def colour_at(score: float) -> tuple[int, int, int]:
-    """Linear five-anchor colour ramp; input clamped to [0, 1]."""
-    s = min(max(float(score), 0.0), 1.0)
-    for (lo, lo_rgb), (hi, hi_rgb) in zip(COLOUR_ANCHORS, COLOUR_ANCHORS[1:]):
-        if s <= hi:
-            w = 0.0 if hi == lo else (s - lo) / (hi - lo)
-            return tuple(round(a + (b - a) * w) for a, b in zip(lo_rgb, hi_rgb))
-    return COLOUR_ANCHORS[-1][1]
+    """Linear five-anchor colour ramp; input clamped to [0, 1], NaN maps to the top anchor."""
+    return tuple(_colours([score])[0].tolist())
 
 
 def _project(x, y, z):
@@ -454,7 +472,7 @@ def render_history_figure(embedding: Embedding, profile, options: FigureOptions 
     span_v = max(v_hi - v_lo, 1e-12)
     scale = min((options.width_px - 2 * margin) / span_u, (options.height_px - 2 * margin) / span_v)
 
-    def place(u: float, v: float) -> tuple[float, float]:
+    def place(u, v):
         px = margin + (u - u_lo) * scale + ((options.width_px - 2 * margin) - span_u * scale) / 2
         py = options.height_px - margin - (v - v_lo) * scale - (
             (options.height_px - 2 * margin) - span_v * scale
@@ -478,14 +496,15 @@ def render_history_figure(embedding: Embedding, profile, options: FigureOptions 
         parts.append(f'<text x="{_px(px + 10)}" y="{_px(py + 4)}" font-size="13">{name}</text>')
     parts.append("</g>")
 
-    final_mask = embedding.generation == gen_max
-    for i in range(embedding.n_points):
-        px, py = place(float(u_pts[i]), float(v_pts[i]))
-        r, g, b = colour_at(scores[i])
-        parts.append(f'<circle cx="{_px(px)}" cy="{_px(py)}" r="2.5" fill="rgb({r},{g},{b})"/>')
+    # place() is the same float64 arithmetic on arrays as on scalars, and
+    # "%.2f" prints a float as _px does.
+    px_pts, py_pts = place(u_pts, v_pts)
+    rgb = _colours(scores)
+    circle = '<circle cx="%.2f" cy="%.2f" r="2.5" fill="rgb(%d,%d,%d)"/>'
+    parts.append("\n".join([circle] * embedding.n_points) % tuple(_interleave(px_pts, py_pts, *rgb.T)))
     arm = 4.0
-    for i in np.flatnonzero(final_mask):
-        px, py = place(float(u_pts[i]), float(v_pts[i]))
+    final = embedding.generation == gen_max
+    for px, py in zip(px_pts[final].tolist(), py_pts[final].tolist()):
         parts.append(
             f'<path class="final-cross" d="M {_px(px - arm)} {_px(py - arm)} L {_px(px + arm)} '
             f'{_px(py + arm)} M {_px(px - arm)} {_px(py + arm)} L {_px(px + arm)} {_px(py - arm)}" '

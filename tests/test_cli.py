@@ -224,6 +224,17 @@ class TestRender:
             assert produced.exists()
             ET.fromstring(produced.read_text())
 
+    def test_bad_trace_leaves_no_figure(self, artifacts, tmp_path, capsys):
+        _, _, embedding, _ = artifacts
+        bad = tmp_path / "bad.csv"
+        bad.write_text("gen,hv\n0,notanumber\n")
+        out = tmp_path / "figure.svg"
+        assert main(["render", "--embedding", str(embedding), "--hv-trace", str(bad),
+                     "--out", str(out)]) == 1
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "figure.history.svg").exists()
+        assert not (tmp_path / "figure.hv.svg").exists()
+
     def test_requires_an_input(self, tmp_path, capsys):
         assert main(["render", "--out", str(tmp_path / "x.svg")]) == 2
         assert "nothing to render" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from conftest import synthetic_history
 from evohist import (
     ContractError,
     Embedding,
+    ExplorationProfile,
     FigureOptions,
     FormatVersionError,
     HypervolumeTrace,
@@ -186,6 +187,22 @@ class TestEmbeddingFile:
             synthetic_history([short_run.generations[0].x], [short_run.generations[0].y]))
         with pytest.raises(ContractError):
             write_embedding(emb, truncated, tmp_path / "e.csv")
+
+    @pytest.mark.parametrize("generation, member", [
+        (2, 0),   # past the last generation
+        (0, 2),   # past the last member
+        (-1, 0),  # would wrap to the last generation
+        (0, -1),  # would wrap to the last member
+    ])
+    def test_profile_must_cover_every_index(self, tmp_path, generation, member):
+        profile = exploration_profile(tiny_history())  # 2 generations x 2 members
+        emb = Embedding("search", np.zeros(2), np.zeros(2),
+                        np.array([0, generation]), np.array([1, member]), stride=1)
+        with pytest.raises(ContractError, match="does not cover"):
+            write_embedding(emb, profile, tmp_path / "e.csv")
+        with pytest.raises(ContractError, match="does not cover"):
+            render_history_figure(emb, profile)
+        assert not (tmp_path / "e.csv").exists()
 
     def test_read_validation(self, tmp_path):
         bad_header = tmp_path / "bad.csv"
@@ -470,3 +487,196 @@ class TestAtomicWrites:
         with open_atomic(tmp_path / "figure.svg") as fh:
             fh.write("<svg/>\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["embedding.csv", "figure.svg", "hv.csv"]
+
+
+# Oracles for the array-at-once artifact code: the per-point implementations
+# it replaced, kept verbatim apart from names.
+
+def per_point_colour(score):
+    s = min(max(float(score), 0.0), 1.0)
+    for (lo, lo_rgb), (hi, hi_rgb) in zip(COLOUR_ANCHORS, COLOUR_ANCHORS[1:]):
+        if s <= hi:
+            w = 0.0 if hi == lo else (s - lo) / (hi - lo)
+            return tuple(round(a + (b - a) * w) for a, b in zip(lo_rgb, hi_rgb))
+    return COLOUR_ANCHORS[-1][1]
+
+
+def per_point_scores(embedding, profile):
+    if hasattr(profile, "score_at"):
+        return np.array([profile.score_at(g, i) for g, i in zip(embedding.generation, embedding.member_index)])
+    return np.asarray(profile, dtype=float)
+
+
+def per_point_embedding_csv(embedding, profile):
+    scores = per_point_scores(embedding, profile)
+    order = np.lexsort((embedding.member_index, embedding.generation))
+    lines = [emit.EMBEDDING_CSV_HEADER]
+    for i in order:
+        lines.append(
+            f"{embedding.generation[i]},{embedding.member_index[i]},"
+            f"{format(float(embedding.e1[i]), '.17g')},{format(float(embedding.e2[i]), '.17g')},"
+            f"{format(float(scores[i]), '.17g')},{embedding.space},{embedding.stride}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def per_point_history_figure(embedding, profile, options):
+    _px, _project, _ticks = emit._px, emit._project, emit._ticks
+    scores = per_point_scores(embedding, profile)
+    gen_max = int(embedding.generation.max())
+    z = embedding.generation / gen_max if gen_max > 0 else np.zeros(embedding.n_points)
+    u_pts, v_pts = _project(embedding.e1, embedding.e2, z)
+
+    x_lo, x_hi = float(embedding.e1.min()), float(embedding.e1.max())
+    y_lo, y_hi = float(embedding.e2.min()), float(embedding.e2.max())
+    axes = []
+    for name, start, end, values in (
+        ("e1", (x_lo, y_lo, 0.0), (x_hi, y_lo, 0.0), _ticks(x_lo, x_hi)),
+        ("e2", (x_lo, y_lo, 0.0), (x_lo, y_hi, 0.0), _ticks(y_lo, y_hi)),
+        ("gen", (x_lo, y_lo, 0.0), (x_lo, y_lo, 1.0), _ticks(0, max(gen_max, 1))),
+    ):
+        start = np.array(start)
+        end = np.array(end)
+        steps = np.linspace(0.0, 1.0, values.size)[:, None]
+        axes.append((name, start, end, values, start + steps * (end - start)))
+
+    frame_xyz = np.vstack([np.vstack([a[1], a[2], a[4]]) for a in axes])
+    u_frame, v_frame = _project(frame_xyz[:, 0], frame_xyz[:, 1], frame_xyz[:, 2])
+    u_all = np.concatenate([u_pts, u_frame])
+    v_all = np.concatenate([v_pts, v_frame])
+    u_lo, u_hi = float(u_all.min()), float(u_all.max())
+    v_lo, v_hi = float(v_all.min()), float(v_all.max())
+    margin = 70.0
+    span_u = max(u_hi - u_lo, 1e-12)
+    span_v = max(v_hi - v_lo, 1e-12)
+    scale = min((options.width_px - 2 * margin) / span_u, (options.height_px - 2 * margin) / span_v)
+
+    def place(u, v):
+        px = margin + (u - u_lo) * scale + ((options.width_px - 2 * margin) - span_u * scale) / 2
+        py = options.height_px - margin - (v - v_lo) * scale - (
+            (options.height_px - 2 * margin) - span_v * scale
+        ) / 2
+        return px, py
+
+    parts = emit._svg_open(options)
+    parts.append('<g stroke="#666666" stroke-width="1" fill="none">')
+    for name, start, end, values, ticks_xyz in axes:
+        x0, y0 = place(*_project(start[0], start[1], start[2]))
+        x1, y1 = place(*_project(end[0], end[1], end[2]))
+        parts.append(f'<line x1="{_px(x0)}" y1="{_px(y0)}" x2="{_px(x1)}" y2="{_px(y1)}"/>')
+    parts.append("</g>")
+    parts.append('<g font-family="sans-serif" font-size="11" fill="#333333">')
+    for name, start, end, values, ticks_xyz in axes:
+        tu, tv = _project(ticks_xyz[:, 0], ticks_xyz[:, 1], ticks_xyz[:, 2])
+        for value, uu, vv in zip(values, tu, tv):
+            px, py = place(float(uu), float(vv))
+            parts.append(f'<text x="{_px(px + 4)}" y="{_px(py - 3)}">{format(value, ".3g")}</text>')
+        px, py = place(*_project(end[0], end[1], end[2]))
+        parts.append(f'<text x="{_px(px + 10)}" y="{_px(py + 4)}" font-size="13">{name}</text>')
+    parts.append("</g>")
+
+    for i in range(embedding.n_points):
+        px, py = place(float(u_pts[i]), float(v_pts[i]))
+        r, g, b = per_point_colour(scores[i])
+        parts.append(f'<circle cx="{_px(px)}" cy="{_px(py)}" r="2.5" fill="rgb({r},{g},{b})"/>')
+    arm = 4.0
+    for i in np.flatnonzero(embedding.generation == gen_max):
+        px, py = place(float(u_pts[i]), float(v_pts[i]))
+        parts.append(
+            f'<path class="final-cross" d="M {_px(px - arm)} {_px(py - arm)} L {_px(px + arm)} '
+            f'{_px(py + arm)} M {_px(px - arm)} {_px(py + arm)} L {_px(px + arm)} {_px(py - arm)}" '
+            f'stroke="#ffffff" stroke-width="1.5" fill="none"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+ANCHOR_POSITIONS = [position for position, _ in COLOUR_ANCHORS]
+# Scores where the ramp is easiest to get wrong: each anchor and one step
+# either side of it, signed zeros, infinities, NaN and values off [0, 1].
+EDGE_SCORES = sorted(
+    {np.nextafter(a, d) for a in ANCHOR_POSITIONS for d in (-np.inf, np.inf)} | set(ANCHOR_POSITIONS)
+) + [-0.0, np.inf, -np.inf, np.nan, -1.5, 1.5, 1e300, -5e-324]
+ramp_scores = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 1.0),
+    st.sampled_from(EDGE_SCORES),
+)
+unit_scores = st.one_of(st.floats(0.0, 1.0), st.sampled_from(ANCHOR_POSITIONS + [5e-324, np.nextafter(1.0, 0.0)]))
+coordinates = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, 1e-9]))
+
+
+@st.composite
+def embeddings_with_scores(draw):
+    """A shuffled embedding of whole generations, with its scores as a profile or as an array."""
+    n_gen, pop = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    n = n_gen * pop
+    order = np.array(draw(st.permutations(range(n))))
+    embedding = Embedding(
+        draw(st.sampled_from(["search", "objective"])),
+        draw(st.lists(coordinates, min_size=n, max_size=n)),
+        draw(st.lists(coordinates, min_size=n, max_size=n)),
+        np.repeat(np.arange(n_gen), pop)[order],
+        np.tile(np.arange(pop), n_gen)[order],
+        stride=draw(st.integers(1, 5)),
+    )
+    if draw(st.booleans()):
+        score = np.array(draw(st.lists(unit_scores, min_size=n, max_size=n))).reshape(n_gen, pop)
+        return embedding, ExplorationProfile("search", np.zeros(n_gen), 0.0, score)
+    return embedding, np.array(draw(st.lists(ramp_scores, min_size=n, max_size=n)))
+
+
+figure_options = st.builds(FigureOptions, st.integers(1, 2000), st.integers(1, 2000))
+
+
+class TestArrayAtOnceOracles:
+    """The batched ramp, CSV and figure give exactly the per-point code's values and bytes."""
+
+    @given(st.lists(ramp_scores, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_ramp_matches_per_point(self, scores):
+        expected = [per_point_colour(s) for s in scores]
+        assert [tuple(rgb) for rgb in emit._colours(np.array(scores, dtype=float)).tolist()] == expected
+        assert [colour_at(s) for s in scores] == expected
+
+    def test_ramp_edges_match_per_point(self):
+        for s in EDGE_SCORES:
+            assert colour_at(s) == per_point_colour(s), s
+        assert colour_at(np.nan) == COLOUR_ANCHORS[-1][1]
+
+    @given(embeddings_with_scores())
+    @settings(max_examples=150, deadline=None)
+    def test_embedding_csv_matches_per_point(self, tmp_path_factory, case):
+        embedding, scores = case
+        path = tmp_path_factory.mktemp("csv") / "embedding.csv"
+        write_embedding(embedding, scores, path)
+        assert path.read_bytes() == per_point_embedding_csv(embedding, scores).encode()
+
+    @given(embeddings_with_scores(), figure_options)
+    @settings(max_examples=150, deadline=None)
+    def test_history_figure_matches_per_point(self, case, options):
+        embedding, scores = case
+        assert render_history_figure(embedding, scores, options) == per_point_history_figure(
+            embedding, scores, options)
+
+    @pytest.mark.parametrize("n_gen, pop", [(1, 1), (1, 7)])
+    @pytest.mark.parametrize("options", [FigureOptions(), FigureOptions(400, 300), FigureOptions(1, 1)])
+    def test_one_point_and_one_generation(self, tmp_path, n_gen, pop, options):
+        n = n_gen * pop
+        embedding = Embedding("objective", np.linspace(-1, 2, n), np.linspace(3, 0, n),
+                              np.zeros(n, dtype=int), np.arange(n), stride=3)
+        profile = ExplorationProfile("search", np.zeros(1), 0.0, np.linspace(0, 1, n).reshape(1, n))
+        for scores in (profile, np.linspace(0, 1, n)):
+            assert render_history_figure(embedding, scores, options) == per_point_history_figure(
+                embedding, scores, options)
+            write_embedding(embedding, scores, tmp_path / "e.csv")
+            assert (tmp_path / "e.csv").read_bytes() == per_point_embedding_csv(embedding, scores).encode()
+
+    def test_real_run_matches_per_point(self, tmp_path, short_run):
+        profile = exploration_profile(short_run, "search")
+        for space in ("search", "objective"):
+            embedding = embed_history(short_run, space, max_points=200)
+            assert render_history_figure(embedding, profile) == per_point_history_figure(
+                embedding, profile, FigureOptions())
+            write_embedding(embedding, profile, tmp_path / "e.csv")
+            assert (tmp_path / "e.csv").read_bytes() == per_point_embedding_csv(embedding, profile).encode()
