@@ -10,10 +10,8 @@ from .core import (
     ConfigError,
     ContractError,
     GenerationRecord,
-    Individual,
     OperatorConfig,
     RunHistory,
-    dominates,
     non_dominated_subset,
 )
 from .embedding import (
@@ -43,7 +41,6 @@ from .metrics import (
     ExplorationProfile,
     HypervolumeTrace,
     UnsupportedDimensionError,
-    exploration_fraction,
     exploration_profile,
     hypervolume_exact,
     hypervolume_mc,
@@ -62,7 +59,7 @@ from .optimizer import (
     run,
     sbx_crossover,
 )
-from .problems import ProblemSpec, evaluate, evaluate_batch, front_residual, make_spec
+from .problems import ProblemSpec, evaluate_batch, front_residual, make_spec
 
 __version__ = "0.1.0"
 
@@ -70,14 +67,11 @@ __all__ = [
     "ConfigError",
     "ContractError",
     "GenerationRecord",
-    "Individual",
     "OperatorConfig",
     "RunHistory",
-    "dominates",
     "non_dominated_subset",
     "ProblemSpec",
     "make_spec",
-    "evaluate",
     "evaluate_batch",
     "front_residual",
     "RunConfig",
@@ -102,7 +96,6 @@ __all__ = [
     "UnsupportedDimensionError",
     "nearest_neighbour_distances",
     "exploration_profile",
-    "exploration_fraction",
     "hypervolume_exact",
     "hypervolume_mc",
     "hypervolume_trace",

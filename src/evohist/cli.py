@@ -21,6 +21,8 @@ from .core import ConfigError, ContractError, OperatorConfig
 from .embedding import DEFAULT_MAX_POINTS, as_space, embed_history, sampled_generations
 from .emit import (
     HistoryFormatError,
+    MalformedRecordError,
+    _read_lines,
     open_atomic,
     read_embedding,
     read_history,
@@ -66,11 +68,11 @@ _CONFIG_KEYS = frozenset(
 def _load_config(path) -> dict[str, str]:
     """Parse a key = value config file; unknown keys fail closed."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        lines = _read_lines(path)
+    except (OSError, MalformedRecordError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -187,8 +189,8 @@ def _check_out_dirs(*paths) -> None:
             raise OSError(f"cannot write {path}: {parent} is not an existing directory")
 
 
-# Stages, shared by `pipeline` and the subcommands.  Each package function
-# they call is called nowhere else, through this module's globals: the
+# Stages, shared by `pipeline` and the subcommands.  Every package
+# function a command runs is looked up through this module's globals: the
 # names the benchmark's tracer and the tests replace.
 
 
@@ -196,14 +198,6 @@ def _run_stage(spec, run_config, operators, out):
     history = run(spec, run_config, operators)
     write_history(history, out)
     return history
-
-
-def _read_stage(path):
-    return read_history(path)
-
-
-def _profile_stage(history, metric_space):
-    return exploration_profile(history, metric_space)
 
 
 def _embed_stage(history, space, max_points, profile, out):
@@ -248,9 +242,9 @@ def cmd_embed(args) -> int:
     cfg = _config_of(args)
     space = _pick_space(args.space, cfg, "space")
     metric_space, max_points = _resolve_embed(args, cfg)
-    history = _read_stage(args.history)
+    history = read_history(args.history)
     _check_max_points(max_points, history.population_size)
-    profile = _profile_stage(history, metric_space)
+    profile = exploration_profile(history, metric_space)
     embedding = _embed_stage(history, space, max_points, profile, args.out)
     print(
         f"embed: space={embedding.space} points={embedding.n_points} "
@@ -263,7 +257,7 @@ def cmd_hv(args) -> int:
     _check_out_dirs(args.out)
     cfg = _config_of(args)
     reference = _parse_reference(args.ref, cfg)
-    history = _read_stage(args.history)
+    history = read_history(args.history)
     _check_reference(reference, history.M)
     trace = _hv_stage(history, reference, args.out)
     print(f"hv: {len(trace)} generations -> {args.out}")
@@ -310,7 +304,7 @@ def cmd_pipeline(args) -> int:
 
     started = time.perf_counter()
     history = _run_stage(spec, run_config, operators, outdir / "history.jsonl")
-    profile = _profile_stage(history, metric_space)
+    profile = exploration_profile(history, metric_space)
     for space in ("search", "objective"):
         embedding = _embed_stage(history, space, max_points, profile, outdir / f"embedding.{space}.csv")
         _render_history_stage(embedding, profile, outdir / f"figure.{space}.svg")

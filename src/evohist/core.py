@@ -19,12 +19,9 @@ import numpy as np
 __all__ = [
     "ContractError",
     "ConfigError",
-    "decision_vector",
     "objective_vector",
-    "dominates",
     "non_dominated_subset",
     "dominance_matrix",
-    "Individual",
     "GenerationRecord",
     "OperatorConfig",
     "RunHistory",
@@ -39,30 +36,6 @@ class ConfigError(ValueError):
     """An invalid or unknown configuration value."""
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
-def decision_vector(values, n_vars: int | None = None) -> np.ndarray:
-    """Validate a decision vector: 1-D, every entry in [0, 1].
-
-    Returns the values as a float array.  ``n_vars``, when given, pins the
-    expected length.
-    """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ContractError("decision vector must be a non-empty 1-D sequence")
-    if n_vars is not None and x.size != n_vars:
-        raise ContractError(f"decision vector has length {x.size}, expected {n_vars}")
-    bad = np.flatnonzero(~((x >= 0.0) & (x <= 1.0)))
-    if bad.size:
-        i = int(bad[0])
-        raise ContractError(f"decision variable {i} = {x[i]} lies outside [0, 1]")
-    return x
-
-
 def objective_vector(values, n_objectives: int | None = None) -> np.ndarray:
     """Validate an objective vector: 1-D, every entry finite."""
     y = np.asarray(values, dtype=float)
@@ -74,22 +47,6 @@ def objective_vector(values, n_objectives: int | None = None) -> np.ndarray:
         i = int(np.flatnonzero(~np.isfinite(y))[0])
         raise ContractError(f"objective {i} = {y[i]} is not finite")
     return y
-
-
-def dominates(a, b) -> bool:
-    """True iff ``a`` Pareto-dominates ``b`` under minimisation.
-
-    ``a`` dominates ``b`` iff a_m <= b_m for every objective m and
-    a_m < b_m for at least one.  Equal vectors never dominate each other.
-    Comparisons are exact floating point; there is no epsilon.
-    """
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape:
-        raise ContractError(
-            f"dominance needs two equal-length vectors, got shapes {av.shape} and {bv.shape}"
-        )
-    return bool(dominance_matrix(np.stack((av, bv)))[0, 1])
 
 
 def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
@@ -150,18 +107,6 @@ def non_dominated_subset(points) -> list[int]:
 
 
 @dataclass(frozen=True)
-class Individual:
-    """One candidate solution: a decision vector and its objective vector."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frozen(decision_vector(self.x)))
-        object.__setattr__(self, "y", _frozen(objective_vector(self.y)))
-
-
-@dataclass(frozen=True)
 class GenerationRecord:
     """One full population snapshot at generation ``generation``.
 
@@ -193,10 +138,6 @@ class GenerationRecord:
     @property
     def size(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def members(self) -> tuple[Individual, ...]:
-        return tuple(Individual(self.x[i], self.y[i]) for i in range(self.size))
 
 
 @dataclass(frozen=True)

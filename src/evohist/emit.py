@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import ContractError, GenerationRecord, OperatorConfig, RunHistory
 from .embedding import Embedding, as_space
-from .metrics import HypervolumeTrace
+from .metrics import ExplorationProfile, HypervolumeTrace
 from .optimizer import RNG_ALGORITHM
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "FORMAT_VERSION",
     "RNG_ALGORITHM",
     "COLOUR_ANCHORS",
-    "colour_at",
     "open_atomic",
     "write_history",
     "read_history",
@@ -133,6 +132,15 @@ def open_atomic(path):
         raise
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; bytes that are not UTF-8 make it malformed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedRecordError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def write_history(history: RunHistory, path) -> None:
     """Serialise a run to JSON-lines; see the module docstring for the schema.
 
@@ -190,12 +198,11 @@ def read_history(path) -> RunHistory:
     """Parse a file written by write_history back into a RunHistory.
 
     Raises FormatVersionError on a version mismatch, MalformedRecordError
-    (naming the line) on unparseable lines or missing fields, and the
-    usual contract errors when the decoded records violate history
-    invariants such as generation ordering.
+    on bytes that are not UTF-8 and (naming the line) on unparseable lines
+    or missing or mistyped fields, and the usual contract errors when the
+    decoded records violate history invariants such as generation ordering.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise MalformedRecordError(f"{path}: line 1: empty file, expected a header record")
 
@@ -217,6 +224,14 @@ def read_history(path) -> RunHistory:
     missing = [k for k in _HEADER_FIELDS if k not in header]
     if missing:
         raise MalformedRecordError(f"{path}: line 1: header missing fields {', '.join(missing)}")
+    # type() keeps out bool, which JSON true/false decode to and which subclasses int.
+    for keys, kinds, kind in (
+        (("M", "D", "population_size", "evaluation_budget", "seed"), (int,), "an integer"),
+        (("crossover_probability", "mutation_probability", "sbx_eta", "pm_eta"), (int, float), "a number"),
+    ):
+        for key in keys:
+            if type(header[key]) not in kinds:
+                raise MalformedRecordError(f"{path}: line 1: header field {key!r} is not {kind}: {header[key]!r}")
 
     operators = OperatorConfig(
         crossover_probability=float(header["crossover_probability"]),
@@ -243,12 +258,12 @@ def read_history(path) -> RunHistory:
         raise MalformedRecordError(f"{path}: line 2: no generation records after the header")
     return RunHistory(
         problem=header["problem"],
-        M=int(header["M"]),
-        D=int(header["D"]),
+        M=header["M"],
+        D=header["D"],
         algorithm=header["algorithm"],
-        population_size=int(header["population_size"]),
-        evaluation_budget=int(header["evaluation_budget"]),
-        seed=int(header["seed"]),
+        population_size=header["population_size"],
+        evaluation_budget=header["evaluation_budget"],
+        seed=header["seed"],
         operators=operators,
         generations=tuple(generations),
     )
@@ -259,7 +274,7 @@ EMBEDDING_CSV_HEADER = "gen,idx,e1,e2,score,space,stride"
 
 def _point_scores(embedding: Embedding, profile) -> np.ndarray:
     """Per-embedded-point scores from a profile object or a plain array."""
-    if hasattr(profile, "score_at"):
+    if isinstance(profile, ExplorationProfile):
         n_gen, pop = profile.score.shape
         gen, idx = embedding.generation, embedding.member_index
         if gen.min() < 0 or gen.max() >= n_gen or idx.min() < 0 or idx.max() >= pop:
@@ -303,8 +318,7 @@ def write_embedding(embedding: Embedding, profile, path) -> None:
 
 def read_embedding(path) -> tuple[Embedding, np.ndarray]:
     """Parse an embedding CSV back into (Embedding, score array)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != EMBEDDING_CSV_HEADER:
         raise MalformedRecordError(f"{path}: line 1: expected header {EMBEDDING_CSV_HEADER!r}")
     if len(lines) < 2:
@@ -353,8 +367,7 @@ def write_hv_trace(trace: HypervolumeTrace, path) -> None:
 
 def read_hv_trace(path) -> HypervolumeTrace:
     """Parse a trace CSV; the reference point is not stored, so it is None."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != HV_CSV_HEADER:
         raise MalformedRecordError(f"{path}: line 1: expected header {HV_CSV_HEADER!r}")
     values = []
@@ -399,11 +412,6 @@ def _colours(scores) -> np.ndarray:
     return np.rint(rgb[k] + (rgb[k + 1] - rgb[k]) * w).astype(np.int64)
 
 
-def colour_at(score: float) -> tuple[int, int, int]:
-    """Linear five-anchor colour ramp; input clamped to [0, 1], NaN maps to the top anchor."""
-    return tuple(_colours([score])[0].tolist())
-
-
 def _project(x, y, z):
     """Fixed orthographic camera: azimuth 45°, elevation 25° (scalars or arrays)."""
     az = math.radians(AZIMUTH_DEG)
@@ -426,8 +434,8 @@ def _svg_open(options: FigureOptions) -> list[str]:
     ]
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
-    return np.linspace(lo, hi, count)
+def _ticks(lo: float, hi: float) -> np.ndarray:
+    return np.linspace(lo, hi, 5)
 
 
 def render_history_figure(embedding: Embedding, profile, options: FigureOptions | None = None) -> str:

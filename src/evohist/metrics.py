@@ -43,7 +43,6 @@ __all__ = [
     "HypervolumeTrace",
     "nearest_neighbour_distances",
     "exploration_profile",
-    "exploration_fraction",
     "hypervolume_exact",
     "hypervolume_mc",
     "hypervolume_trace",
@@ -159,9 +158,6 @@ class ExplorationProfile:
         object.__setattr__(self, "per_generation_median", med)
         object.__setattr__(self, "score", score)
 
-    def score_at(self, generation: int, member_index: int) -> float:
-        return float(self.score[generation, member_index])
-
 
 def exploration_profile(history: RunHistory, space="search") -> ExplorationProfile:
     """Score every member of every generation against the run's median spread.
@@ -184,13 +180,6 @@ def exploration_profile(history: RunHistory, space="search") -> ExplorationProfi
         overall_median=overall,
         score=score,
     )
-
-
-def exploration_fraction(profile: ExplorationProfile, t: int) -> float:
-    """Fraction of generation t scoring as exploring (score >= 0.5)."""
-    if not 0 <= t < profile.score.shape[0]:
-        raise ContractError(f"generation {t} outside profile range 0..{profile.score.shape[0] - 1}")
-    return float(np.mean(profile.score[t] >= 0.5))
 
 
 def _staircase_2d(points: np.ndarray, reference: np.ndarray) -> float:

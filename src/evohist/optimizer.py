@@ -106,10 +106,10 @@ class ReferenceDirectionSet:
 
 
 def _objective_rows(population) -> np.ndarray:
-    """Coerce a population (Individuals, vectors, or a matrix) to an (n, M) array."""
+    """Coerce a population (a matrix or a sequence of vectors) to an (n, M) array."""
     if isinstance(population, np.ndarray) and population.ndim == 2:
         return np.asarray(population, dtype=float)
-    rows = [np.asarray(getattr(p, "y", p), dtype=float) for p in population]
+    rows = [np.asarray(p, dtype=float) for p in population]
     if not rows:
         raise ContractError("population must be non-empty")
     y = np.array(rows, dtype=float)
@@ -357,7 +357,7 @@ def _normalise(translated: np.ndarray) -> np.ndarray:
 
 
 def nsga3_select(population, target_size: int, directions: ReferenceDirectionSet,
-                 rng: np.random.Generator | None = None) -> list[int]:
+                 rng: np.random.Generator) -> list[int]:
     """Reference-direction NSGA-III selection: indices of the survivors.
 
     Fronts fill in rank order as in NSGA-II; the overflowing front is
@@ -368,10 +368,8 @@ def nsga3_select(population, target_size: int, directions: ReferenceDirectionSet
     survivors so far admit members first; a direction with no survivor
     yet takes its closest candidate, one with survivors takes a random
     candidate.  Random choices (including ties between directions) come
-    from ``rng``, or from a fixed-seed stream when none is given.
+    from ``rng``.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(0))
     y = _objective_rows(population)
     if len(directions) < 1:
         raise ContractError("nsga3_select needs at least one reference direction")

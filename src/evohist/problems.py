@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ContractError, decision_vector, objective_vector
+from .core import ConfigError, ContractError, objective_vector
 
-__all__ = ["ProblemSpec", "make_spec", "evaluate", "evaluate_batch", "front_residual", "DEFAULT_K"]
+__all__ = ["ProblemSpec", "make_spec", "evaluate_batch", "front_residual", "DEFAULT_K"]
 
 PROBLEM_NAMES = ("dtlz1", "dtlz2", "dtlz3", "dtlz4", "dtlz7")
 
@@ -138,12 +138,6 @@ def evaluate_batch(spec: ProblemSpec, X) -> np.ndarray:
     if spec.name == "dtlz4":
         return _dtlz2_shape(x_pos**_DTLZ4_ALPHA, _g_sphere(x_dist), M)
     return _dtlz7(x_pos, x_dist, M)
-
-
-def evaluate(spec: ProblemSpec, x) -> np.ndarray:
-    """Evaluate a single decision vector, returning its M objectives."""
-    x = decision_vector(x, n_vars=spec.D)
-    return evaluate_batch(spec, x[None, :])[0]
 
 
 def front_residual(spec: ProblemSpec, y) -> float:

@@ -440,6 +440,20 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "h.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["hv", "--history"], 1),
+    (["render", "--embedding"], 1),
+    (["render", "--hv-trace"], 1),
+    (["run", "--config"], 2),
+], ids=["history", "embedding", "hv-trace", "config"])
+def test_non_utf8_input_is_an_error_line(tmp_path, capsys, argv, code):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe not UTF-8\n")
+    assert main([*argv, str(bad), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+
+
 class TestParser:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2

@@ -1,3 +1,4 @@
+import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -28,13 +29,18 @@ from evohist import (
     write_hv_trace,
 )
 from evohist import emit
-from evohist.emit import COLOUR_ANCHORS, _fmt_rows, colour_at, open_atomic
+from evohist.emit import COLOUR_ANCHORS, _fmt_rows, open_atomic
 
 
 def tiny_history():
     xs = [np.array([[0.1, 0.2], [0.9, 0.4]]), np.array([[1 / 3, 0.25], [0.7, 0.6]])]
     ys = [np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[0.5, 1.5], [1.5, 0.5]])]
     return synthetic_history(xs, ys)
+
+
+def colour_at(score):
+    """One score's colour through the array ramp, as a tuple of ints."""
+    return tuple(emit._colours([score])[0].tolist())
 
 
 def rewrite_line(path, lineno, new_line):
@@ -104,6 +110,19 @@ class TestHistoryFile:
         with pytest.raises(MalformedRecordError, match="sbx_eta"):
             read_history(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("M", "x"), ("D", 2.0), ("population_size", 2.5), ("evaluation_budget", None), ("seed", True),
+        ("crossover_probability", [1]), ("mutation_probability", "0.1"), ("sbx_eta", False), ("pm_eta", {}),
+    ])
+    def test_mistyped_header_field_named(self, tmp_path, field, value):
+        path = tmp_path / "h.jsonl"
+        write_history(tiny_history(), path)
+        header = json.loads(path.read_text().splitlines()[0])
+        header[field] = value
+        rewrite_line(path, 1, json.dumps(header))
+        with pytest.raises(MalformedRecordError, match=f"line 1: header field '{field}'"):
+            read_history(path)
+
     def test_bad_json_names_line(self, tmp_path):
         path = tmp_path / "h.jsonl"
         write_history(tiny_history(), path)
@@ -161,7 +180,7 @@ class TestEmbeddingFile:
         assert np.array_equal(back.member_index, emb.member_index)
         assert np.array_equal(back.e1, emb.e1)
         assert np.array_equal(back.e2, emb.e2)
-        expected = [profile.score_at(g, i) for g, i in zip(emb.generation, emb.member_index)]
+        expected = [profile.score[g, i] for g, i in zip(emb.generation, emb.member_index)]
         assert np.array_equal(scores, expected)
 
     def test_rows_sorted_even_from_shuffled_embedding(self, tmp_path):
@@ -502,8 +521,8 @@ def per_point_colour(score):
 
 
 def per_point_scores(embedding, profile):
-    if hasattr(profile, "score_at"):
-        return np.array([profile.score_at(g, i) for g, i in zip(embedding.generation, embedding.member_index)])
+    if isinstance(profile, ExplorationProfile):
+        return np.array([profile.score[g, i] for g, i in zip(embedding.generation, embedding.member_index)])
     return np.asarray(profile, dtype=float)
 
 

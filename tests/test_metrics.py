@@ -11,7 +11,6 @@ from evohist import (
     GenerationRecord,
     HypervolumeTrace,
     UnsupportedDimensionError,
-    exploration_fraction,
     exploration_profile,
     hypervolume_exact,
     hypervolume_mc,
@@ -191,14 +190,14 @@ class TestExplorationProfile:
         profile = exploration_profile(pair_history([0.4, 0.4, 0.4]))
         assert profile.overall_median == pytest.approx(0.4)
         assert np.all(profile.score == 0.5)
-        assert exploration_fraction(profile, 1) == 1.0
+        assert np.mean(profile.score[1] >= 0.5) == 1.0
 
     def test_low_median_of_generation_medians(self):
         profile = exploration_profile(pair_history([0.1, 0.2, 0.3, 0.4]))
         assert profile.per_generation_median == pytest.approx([0.1, 0.2, 0.3, 0.4])
         assert profile.overall_median == pytest.approx(0.2)  # lower of the two middles
         assert profile.score[:, 0] == pytest.approx([0.25, 0.5, 0.75, 1.0])
-        assert [exploration_fraction(profile, t) for t in range(4)] == [0.0, 1.0, 1.0, 1.0]
+        assert [np.mean(profile.score[t] >= 0.5) for t in range(4)] == [0.0, 1.0, 1.0, 1.0]
 
     def test_coincident_generation_scores_zero(self):
         profile = exploration_profile(pair_history([0.4, 0.0, 0.8]))
@@ -224,13 +223,8 @@ class TestExplorationProfile:
         profile = exploration_profile(synthetic_history(xs, ys), space="objective")
         assert profile.per_generation_median == pytest.approx([2.0, 1.0])
         assert profile.overall_median == pytest.approx(1.0)
-        assert profile.score_at(1, 0) == pytest.approx(0.5)
-        assert profile.score_at(0, 1) == pytest.approx(1.0)
-
-    def test_fraction_range_checked(self):
-        profile = exploration_profile(pair_history([0.4, 0.4]))
-        with pytest.raises(ContractError):
-            exploration_fraction(profile, 2)
+        assert profile.score[1, 0] == pytest.approx(0.5)
+        assert profile.score[0, 1] == pytest.approx(1.0)
 
     def test_profile_validation(self):
         with pytest.raises(ContractError):

@@ -298,15 +298,17 @@ class TestNsga3Select:
         picked = nsga3_select(pts, 8, das_dennis(3, 2), rng=rng)
         assert len(picked) == 8 and len(set(picked)) == 8
 
-    def test_deterministic_without_explicit_rng(self):
+    def test_equal_seeds_give_equal_selections_and_state(self):
         pts = np.random.default_rng(9).random((40, 3))
         dirs = das_dennis(3, 3)
-        assert nsga3_select(pts, 16, dirs) == nsga3_select(pts, 16, dirs)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        assert nsga3_select(pts, 16, dirs, rng=a) == nsga3_select(pts, 16, dirs, rng=b)
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_dimension_mismatch(self):
         pts = np.random.default_rng(0).random((6, 4))
         with pytest.raises(ContractError):
-            nsga3_select(pts, 3, das_dennis(3, 2))
+            nsga3_select(pts, 3, das_dennis(3, 2), rng=np.random.default_rng(0))
 
 
 class TestRunConfig:

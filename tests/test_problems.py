@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evohist import ConfigError, ContractError, evaluate, evaluate_batch, front_residual, make_spec
+from evohist import ConfigError, ContractError, evaluate_batch, front_residual, make_spec
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+def evaluate(spec, x):
+    """One decision vector's objectives, as a one-row batch."""
+    return evaluate_batch(spec, x[None])[0]
 
 
 def centred(spec, x_pos):
