@@ -159,8 +159,8 @@ class OperatorConfig:
             raise ContractError(f"crossover probability {self.crossover_probability} outside [0, 1]")
         if not 0.0 <= self.mutation_probability <= 1.0:
             raise ContractError(f"mutation probability {self.mutation_probability} outside [0, 1]")
-        if self.sbx_eta <= 0 or self.pm_eta <= 0:
-            raise ContractError("distribution indices must be positive")
+        if not (0 < self.sbx_eta < np.inf and 0 < self.pm_eta < np.inf):
+            raise ContractError("distribution indices must be finite and positive")
 
 
 @dataclass(frozen=True)

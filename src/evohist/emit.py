@@ -23,12 +23,12 @@ import json
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import ContractError, GenerationRecord, OperatorConfig, RunHistory
-from .embedding import Embedding, as_space
+from .embedding import Embedding
 from .metrics import ExplorationProfile, HypervolumeTrace
 from .optimizer import RNG_ALGORITHM
 
@@ -75,11 +75,6 @@ class FormatVersionError(HistoryFormatError):
 
 class MalformedRecordError(HistoryFormatError):
     """A specific line failed to parse; the message names the line."""
-
-
-def _fmt(value: float) -> str:
-    """One real, 17 significant digits (exact float64 round-trip)."""
-    return format(float(value), ".17g")
 
 
 def _fmt_rows(rows: np.ndarray) -> list[str]:
@@ -141,6 +136,29 @@ def _read_lines(path) -> list[str]:
         raise MalformedRecordError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+# The history header in file order: each field and its JSON type.
+_HEADER = {
+    "format_version": int,
+    "problem": str,
+    "M": int,
+    "D": int,
+    "algorithm": str,
+    "population_size": int,
+    "evaluation_budget": int,
+    "seed": int,
+    "crossover_probability": float,
+    "mutation_probability": float,
+    "sbx_eta": float,
+    "pm_eta": float,
+    "rng_algorithm": str,
+}
+# Per type: how it is printed (reals to 17 significant digits, which read
+# back bit-exactly), and which json.loads types it accepts (by type(), so
+# not bool, which subclasses int) under what name.
+_JSON_TYPES = {int: (str, (int,), "an integer"), float: ("%.17g".__mod__, (int, float), "a number"),
+               str: (json.dumps, (str,), "a string")}
+
+
 def write_history(history: RunHistory, path) -> None:
     """Serialise a run to JSON-lines; see the module docstring for the schema.
 
@@ -151,47 +169,17 @@ def write_history(history: RunHistory, path) -> None:
     of a float is a fixed string, so the file is the same as formatting
     every value afresh.  Only one generation's texts are kept at a time.
     """
-    op = history.operators
-    header = (
-        f'{{"format_version": {FORMAT_VERSION}'
-        f', "problem": {json.dumps(history.problem)}'
-        f', "M": {history.M}'
-        f', "D": {history.D}'
-        f', "algorithm": {json.dumps(history.algorithm)}'
-        f', "population_size": {history.population_size}'
-        f', "evaluation_budget": {history.evaluation_budget}'
-        f', "seed": {history.seed}'
-        f', "crossover_probability": {_fmt(op.crossover_probability)}'
-        f', "mutation_probability": {_fmt(op.mutation_probability)}'
-        f', "sbx_eta": {_fmt(op.sbx_eta)}'
-        f', "pm_eta": {_fmt(op.pm_eta)}'
-        f', "rng_algorithm": {json.dumps(RNG_ALGORITHM)}}}\n'
-    )
+    values = {**vars(history), **vars(history.operators),
+              "format_version": FORMAT_VERSION, "rng_algorithm": RNG_ALGORITHM}
+    header = ", ".join(f'"{key}": {_JSON_TYPES[kind][0](values[key])}' for key, kind in _HEADER.items())
     with open_atomic(path) as fh:
-        fh.write(header)
+        fh.write("{" + header + "}\n")
         seen_x: dict[bytes, str] = {}
         seen_y: dict[bytes, str] = {}
         for rec in history.generations:
             x_texts, seen_x = _row_texts(rec.x, seen_x)
             y_texts, seen_y = _row_texts(rec.y, seen_y)
             fh.write(f'{{"gen": {rec.generation}, "x": [{", ".join(x_texts)}], "y": [{", ".join(y_texts)}]}}\n')
-
-
-_HEADER_FIELDS = (
-    "format_version",
-    "problem",
-    "M",
-    "D",
-    "algorithm",
-    "population_size",
-    "evaluation_budget",
-    "seed",
-    "crossover_probability",
-    "mutation_probability",
-    "sbx_eta",
-    "pm_eta",
-    "rng_algorithm",
-)
 
 
 def read_history(path) -> RunHistory:
@@ -221,24 +209,16 @@ def read_history(path) -> RunHistory:
         raise FormatVersionError(
             f"{path}: line 1: format_version {version!r}, this reader supports {FORMAT_VERSION}"
         )
-    missing = [k for k in _HEADER_FIELDS if k not in header]
+    missing = [k for k in _HEADER if k not in header]
     if missing:
         raise MalformedRecordError(f"{path}: line 1: header missing fields {', '.join(missing)}")
-    # type() keeps out bool, which JSON true/false decode to and which subclasses int.
-    for keys, kinds, kind in (
-        (("M", "D", "population_size", "evaluation_budget", "seed"), (int,), "an integer"),
-        (("crossover_probability", "mutation_probability", "sbx_eta", "pm_eta"), (int, float), "a number"),
-    ):
-        for key in keys:
-            if type(header[key]) not in kinds:
-                raise MalformedRecordError(f"{path}: line 1: header field {key!r} is not {kind}: {header[key]!r}")
-
-    operators = OperatorConfig(
-        crossover_probability=float(header["crossover_probability"]),
-        mutation_probability=float(header["mutation_probability"]),
-        sbx_eta=float(header["sbx_eta"]),
-        pm_eta=float(header["pm_eta"]),
-    )
+    for key, kind in _HEADER.items():
+        _, accepted, name = _JSON_TYPES[kind]
+        if type(header[key]) not in accepted:
+            raise MalformedRecordError(f"{path}: line 1: header field {key!r} is not {name}: {header[key]!r}")
+    run_fields = {key: kind(header[key]) for key, kind in _HEADER.items()}
+    operators = OperatorConfig(**{f.name: run_fields.pop(f.name) for f in fields(OperatorConfig)})
+    del run_fields["format_version"], run_fields["rng_algorithm"]
     generations = []
     for lineno, text in enumerate(lines[1:], start=2):
         record = parse(lineno, text)
@@ -256,17 +236,7 @@ def read_history(path) -> RunHistory:
             raise ContractError(f"{path}: line {lineno}: {exc}") from None
     if not generations:
         raise MalformedRecordError(f"{path}: line 2: no generation records after the header")
-    return RunHistory(
-        problem=header["problem"],
-        M=header["M"],
-        D=header["D"],
-        algorithm=header["algorithm"],
-        population_size=header["population_size"],
-        evaluation_budget=header["evaluation_budget"],
-        seed=header["seed"],
-        operators=operators,
-        generations=tuple(generations),
-    )
+    return RunHistory(**run_fields, operators=operators, generations=tuple(generations))
 
 
 EMBEDDING_CSV_HEADER = "gen,idx,e1,e2,score,space,stride"
@@ -299,57 +269,73 @@ def _interleave(*columns: np.ndarray) -> list:
     return flat
 
 
+def _write_table(path, header: str, row_template: str, columns) -> None:
+    """Write a CSV: the header line, then one ``%`` template line per row of equal-length columns."""
+    with open_atomic(path) as fh:
+        fh.write(header + "\n")
+        fh.write((row_template * len(columns[0])) % tuple(_interleave(*columns)))
+
+
+def _columns(rows: list[str], kinds) -> list:
+    """CSV rows as one column per kind: ``int`` and ``float`` through Python's own into int64 and float64 arrays.
+
+    A ``str`` column stays as its texts.  A row without one field per
+    kind, or a text its kind rejects, raises ValueError; an integer beyond
+    int64 raises OverflowError.
+    """
+    k = len(kinds)
+    for row in rows:
+        if row.count(",") != k - 1:
+            raise ValueError(f"expected {k} fields, got {row.count(',') + 1}")
+    texts = ",".join(rows).split(",")
+    return [texts[c::k] if kind is str else np.fromiter(map(kind, texts[c::k]), np.int64 if kind is int else float)
+            for c, kind in enumerate(kinds)]
+
+
+def _read_table(path, header: str, kinds) -> list:
+    """The columns of a CSV file with this header line and at least one row.
+
+    All rows are converted at once; only if that fails is each row
+    converted alone, to name the first bad line.
+    """
+    lines = _read_lines(path)
+    if not lines or lines[0] != header:
+        raise MalformedRecordError(f"{path}: line 1: expected header {header!r}")
+    if len(lines) < 2:
+        raise MalformedRecordError(f"{path}: line 2: no rows after the header")
+    try:
+        return _columns(lines[1:], kinds)
+    except (ValueError, OverflowError):
+        for lineno, row in enumerate(lines[1:], start=2):
+            try:
+                _columns([row], kinds)
+            except (ValueError, OverflowError) as exc:
+                raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
+        raise
+
+
 def write_embedding(embedding: Embedding, profile, path) -> None:
     """Write an embedding plus per-point exploration scores as CSV.
 
     ``profile`` is an ExplorationProfile covering every sampled
     generation, or a pre-extracted score array aligned with the points.
-    Rows are sorted by (gen, idx) and formatted by one template, whose
-    ``%.17g`` prints a float exactly as ``_fmt`` does.
+    Rows are sorted by (gen, idx) and formatted by one ``%.17g`` template.
     """
     scores = _point_scores(embedding, profile)
     order = np.lexsort((embedding.member_index, embedding.generation))
-    row = f"%d,%d,%.17g,%.17g,%.17g,{embedding.space},{embedding.stride}\n"
     columns = (embedding.generation, embedding.member_index, embedding.e1, embedding.e2, scores)
-    with open_atomic(path) as fh:
-        fh.write(EMBEDDING_CSV_HEADER + "\n")
-        fh.write((row * embedding.n_points) % tuple(_interleave(*(c[order] for c in columns))))
+    _write_table(path, EMBEDDING_CSV_HEADER, f"%d,%d,%.17g,%.17g,%.17g,{embedding.space},{embedding.stride}\n",
+                 [c[order] for c in columns])
 
 
 def read_embedding(path) -> tuple[Embedding, np.ndarray]:
     """Parse an embedding CSV back into (Embedding, score array)."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != EMBEDDING_CSV_HEADER:
-        raise MalformedRecordError(f"{path}: line 1: expected header {EMBEDDING_CSV_HEADER!r}")
-    if len(lines) < 2:
-        raise MalformedRecordError(f"{path}: line 2: embedding has no points")
-    gens, idxs, e1s, e2s, scores = [], [], [], [], []
-    spaces, strides = set(), set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise MalformedRecordError(f"{path}: line {lineno}: expected 7 fields, got {len(parts)}")
-        try:
-            gens.append(int(parts[0]))
-            idxs.append(int(parts[1]))
-            e1s.append(float(parts[2]))
-            e2s.append(float(parts[3]))
-            scores.append(float(parts[4]))
-            spaces.add(parts[5])
-            strides.add(int(parts[6]))
-        except ValueError as exc:
-            raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
+    gen, idx, e1, e2, scores, spaces, strides = _read_table(
+        path, EMBEDDING_CSV_HEADER, (int, int, float, float, float, str, int))
+    spaces, strides = set(spaces), set(strides.tolist())
     if len(spaces) != 1 or len(strides) != 1:
         raise MalformedRecordError(f"{path}: space/stride columns must be constant")
-    embedding = Embedding(
-        space=as_space(spaces.pop()),
-        e1=np.array(e1s),
-        e2=np.array(e2s),
-        generation=np.array(gens, dtype=np.int64),
-        member_index=np.array(idxs, dtype=np.int64),
-        stride=strides.pop(),
-    )
-    return embedding, np.array(scores)
+    return Embedding(spaces.pop(), e1, e2, gen, idx, stride=strides.pop()), scores
 
 
 HV_CSV_HEADER = "gen,hv"
@@ -357,31 +343,19 @@ HV_CSV_HEADER = "gen,hv"
 
 def write_hv_trace(trace: HypervolumeTrace, path) -> None:
     """Write a hypervolume trace as two-column CSV (gen, hv)."""
-    lines = [HV_CSV_HEADER]
-    for t, value in enumerate(trace.values):
-        lines.append(f"{t},{_fmt(value)}")
-    with open_atomic(path) as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _write_table(path, HV_CSV_HEADER, "%d,%.17g\n", (np.arange(len(trace.values)), trace.values))
 
 
 def read_hv_trace(path) -> HypervolumeTrace:
-    """Parse a trace CSV; the reference point is not stored, so it is None."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != HV_CSV_HEADER:
-        raise MalformedRecordError(f"{path}: line 1: expected header {HV_CSV_HEADER!r}")
-    values = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        try:
-            if len(parts) != 2 or int(parts[0]) != lineno - 2:
-                raise ValueError("expected 'gen,hv' with consecutive gen indices")
-            values.append(float(parts[1]))
-        except ValueError as exc:
-            raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
-    if not values:
-        raise MalformedRecordError(f"{path}: line 2: trace has no values")
-    return HypervolumeTrace(reference_point=None, values=np.array(values))
+    """Parse a trace CSV; the reference point is not stored, so it is None.
+
+    Every row is parsed before ``gen`` is checked to count 0, 1, 2, …
+    """
+    gen, values = _read_table(path, HV_CSV_HEADER, (int, float))
+    gaps = np.flatnonzero(gen != np.arange(gen.size))
+    if gaps.size:
+        raise MalformedRecordError(f"{path}: line {gaps[0] + 2}: gen {gen[gaps[0]]}, expected {gaps[0]}")
+    return HypervolumeTrace(reference_point=None, values=values)
 
 
 @dataclass(frozen=True)

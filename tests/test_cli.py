@@ -75,6 +75,13 @@ class TestRun:
                      "--crossover-probability", "1.5",
                      "--out", str(tmp_path / "h.jsonl")]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--sbx-eta", "nan"), ("--pm-eta", "inf")])
+    def test_non_finite_distribution_index_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "h.jsonl"
+        assert main(["run", "--problem", "dtlz2", *RUN_FLAGS, flag, value, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_below_population(self, tmp_path):
         assert main(["run", "--problem", "dtlz2", "--pop", "8", "--evaluations", "4",
                      "--out", str(tmp_path / "h.jsonl")]) == 2
@@ -452,6 +459,37 @@ def test_non_utf8_input_is_an_error_line(tmp_path, capsys, argv, code):
     assert main([*argv, str(bad), "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
+
+
+@pytest.mark.parametrize("flag, lineno, column, field", [
+    ("--embedding", 3, 6, None),
+    ("--embedding", 4, 1, "x"),
+    ("--embedding", 5, 3, "one"),
+    ("--embedding", 2, 0, "99999999999999999999"),
+    ("--embedding", 6, 1, "-99999999999999999999"),
+    ("--hv-trace", 2, 1, "0.5.5"),
+    ("--hv-trace", 3, 0, "7"),
+    ("--hv-trace", 4, 0, "99999999999999999999"),
+], ids=["short-row", "bad-int", "bad-float", "huge-gen", "huge-negative-idx", "bad-hv", "gen-gap", "huge-hv-gen"])
+def test_corrupt_csv_is_one_error_line(artifacts, tmp_path, flag, lineno, column, field):
+    """A corrupt CSV row stops ``render`` with exit 1, one ``error:`` line naming it, no traceback."""
+    _, _, embedding, trace = artifacts
+    lines = (embedding if flag == "--embedding" else trace).read_text().splitlines()
+    parts = lines[lineno - 1].split(",")
+    if field is None:
+        del parts[column]
+    else:
+        parts[column] = field
+    lines[lineno - 1] = ",".join(parts)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-m", "evohist.cli", "render", flag, str(bad),
+                             "--out", str(tmp_path / "f.svg")], env=env, capture_output=True, text=True)
+    assert result.returncode == 1 and "Traceback" not in result.stderr
+    [message] = result.stderr.splitlines()
+    assert message.startswith(f"error: {bad}: line {lineno}:")
+    assert not (tmp_path / "f.svg").exists()
 
 
 class TestParser:

@@ -154,6 +154,11 @@ class TestValueTypes:
             OperatorConfig(mutation_probability=-0.1)
         with pytest.raises(ContractError):
             OperatorConfig(sbx_eta=0)
+        for eta in (np.nan, np.inf):
+            with pytest.raises(ContractError, match="finite"):
+                OperatorConfig(sbx_eta=eta)
+            with pytest.raises(ContractError, match="finite"):
+                OperatorConfig(pm_eta=eta)
 
     def test_run_history_orders_generations(self):
         good = [GenerationRecord(t, np.full((2, 3), 0.5), np.ones((2, 2))) for t in range(3)]

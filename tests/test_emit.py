@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -29,6 +30,7 @@ from evohist import (
     write_hv_trace,
 )
 from evohist import emit
+from evohist.embedding import as_space
 from evohist.emit import COLOUR_ANCHORS, _fmt_rows, open_atomic
 
 
@@ -113,6 +115,7 @@ class TestHistoryFile:
     @pytest.mark.parametrize("field, value", [
         ("M", "x"), ("D", 2.0), ("population_size", 2.5), ("evaluation_budget", None), ("seed", True),
         ("crossover_probability", [1]), ("mutation_probability", "0.1"), ("sbx_eta", False), ("pm_eta", {}),
+        ("format_version", True), ("problem", 5), ("algorithm", None), ("rng_algorithm", 1),
     ])
     def test_mistyped_header_field_named(self, tmp_path, field, value):
         path = tmp_path / "h.jsonl"
@@ -699,3 +702,223 @@ class TestArrayAtOnceOracles:
                 embedding, profile, FigureOptions())
             write_embedding(embedding, profile, tmp_path / "e.csv")
             assert (tmp_path / "e.csv").read_bytes() == per_point_embedding_csv(embedding, profile).encode()
+
+
+def row_by_row_read_embedding(path):
+    """read_embedding as it parsed one row at a time, kept as the column reader's reference."""
+    lines = emit._read_lines(path)
+    if not lines or lines[0] != emit.EMBEDDING_CSV_HEADER:
+        raise MalformedRecordError(f"{path}: line 1: expected header {emit.EMBEDDING_CSV_HEADER!r}")
+    if len(lines) < 2:
+        raise MalformedRecordError(f"{path}: line 2: embedding has no points")
+    gens, idxs, e1s, e2s, scores = [], [], [], [], []
+    spaces, strides = set(), set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise MalformedRecordError(f"{path}: line {lineno}: expected 7 fields, got {len(parts)}")
+        try:
+            gens.append(int(parts[0]))
+            idxs.append(int(parts[1]))
+            e1s.append(float(parts[2]))
+            e2s.append(float(parts[3]))
+            scores.append(float(parts[4]))
+            spaces.add(parts[5])
+            strides.add(int(parts[6]))
+        except ValueError as exc:
+            raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
+    if len(spaces) != 1 or len(strides) != 1:
+        raise MalformedRecordError(f"{path}: space/stride columns must be constant")
+    embedding = Embedding(
+        space=as_space(spaces.pop()),
+        e1=np.array(e1s),
+        e2=np.array(e2s),
+        generation=np.array(gens, dtype=np.int64),
+        member_index=np.array(idxs, dtype=np.int64),
+        stride=strides.pop(),
+    )
+    return embedding, np.array(scores)
+
+
+def row_by_row_write_hv_trace(trace, path):
+    """write_hv_trace as it formatted one value at a time."""
+    lines = [emit.HV_CSV_HEADER]
+    for t, value in enumerate(trace.values):
+        lines.append(f"{t},{format(float(value), '.17g')}")
+    with open_atomic(path) as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
+def row_by_row_read_hv_trace(path):
+    """read_hv_trace as it parsed one row at a time."""
+    lines = emit._read_lines(path)
+    if not lines or lines[0] != emit.HV_CSV_HEADER:
+        raise MalformedRecordError(f"{path}: line 1: expected header {emit.HV_CSV_HEADER!r}")
+    values = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        try:
+            if len(parts) != 2 or int(parts[0]) != lineno - 2:
+                raise ValueError("expected 'gen,hv' with consecutive gen indices")
+            values.append(float(parts[1]))
+        except ValueError as exc:
+            raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
+    if not values:
+        raise MalformedRecordError(f"{path}: line 2: trace has no values")
+    return HypervolumeTrace(reference_point=None, values=np.array(values))
+
+
+INT64 = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([0, 1, -1, 2**63 - 1, -2**63]))
+# Spellings Python's int() and float() accept: padding, signs, digit groups, exponents, case.
+INT_SPELLINGS = [str, lambda n: f" {n}\t", lambda n: format(n, "+05d"), lambda n: format(n, "_d")]
+FLOAT_SPELLINGS = [lambda v: format(v, ".17g"), repr, lambda v: f" {v!r} ", lambda v: format(v, ".17E"),
+                   lambda v: format(v, "_")]
+# Signed zeros, subnormals, the normal/subnormal boundary, the largest double and
+# values whose shortest round-trip text needs all 17 digits.
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, 0.1, 0.30000000000000004, 1 / 3, 2 / 3, 9007199254740993.0, 1e23]
+# Per fault, the column kind it hits and the texts it puts there.
+BAD_TEXTS = {
+    "bad int": (int, ["", "x", "1.5", "1e3", "0x10", "nan", "--1", "1 2"]),
+    "bad float": (float, ["", "one", "1.2.3", "0x1p3", "1e", "--1", "in f"]),
+    "huge int": (int, ["9223372036854775808", "-9223372036854775809", "99999999999999999999"]),
+}
+EMBEDDING_KINDS = (int, int, float, float, float, str, int)
+
+
+def spelled(values, spellings):
+    return st.builds(lambda value, spell: spell(value), values, st.sampled_from(spellings))
+
+
+int_texts = spelled(INT64, INT_SPELLINGS)
+float_texts = spelled(st.one_of(st.floats(), st.sampled_from(FLOAT_EDGES)), FLOAT_SPELLINGS)
+hv_values = st.one_of(st.floats(0.0, 1.7976931348623157e308), st.sampled_from([v for v in FLOAT_EDGES if v >= 0]))
+hv_float_texts = spelled(hv_values, FLOAT_SPELLINGS)
+
+
+@st.composite
+def corrupted(draw, rows, kinds, faults):
+    """``rows`` with ``faults`` (short row, extra field, bad int, bad float or huge int) on drawn rows."""
+    rows = [list(row) for row in rows]
+    for fault in faults:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "short":
+            if row:
+                del row[draw(st.integers(0, len(row) - 1))]
+        elif fault == "extra":
+            row.append(draw(int_texts))
+        else:
+            kind, texts = BAD_TEXTS[fault]
+            columns = [c for c, k in enumerate(kinds) if k is kind and c < len(row)]
+            if columns:
+                row[draw(st.sampled_from(columns))] = draw(st.sampled_from(texts))
+    return rows
+
+
+embedding_fields = st.tuples(int_texts, int_texts, float_texts, float_texts, float_texts)
+
+
+@st.composite
+def embedding_files(draw, faults):
+    """Embedding CSV text: whole rows of valid texts, then the faults drawn in."""
+    space = draw(st.sampled_from(["search", "objective"]))
+    stride = draw(st.integers(1, 2**63 - 1))
+    rows = [[*fields, space, spell(stride)] for fields, spell in
+            draw(st.lists(st.tuples(embedding_fields, st.sampled_from(INT_SPELLINGS)), min_size=1, max_size=8))]
+    if draw(st.booleans()):
+        rows = draw(corrupted(rows, EMBEDDING_KINDS, draw(st.lists(st.sampled_from(faults), min_size=1, max_size=3))))
+    return "\n".join([emit.EMBEDDING_CSV_HEADER] + [",".join(row) for row in rows]) + "\n"
+
+
+def outcome(read, path):
+    """What a reader makes of a file: its result, or the error class and the line it names."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        found = re.search(r": line (\d+):", str(exc))
+        return type(exc), found and int(found.group(1))
+
+
+def bits(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    """One directory whose files every hypothesis example overwrites."""
+    return tmp_path_factory.mktemp("tables")
+
+
+class TestTableOracles:
+    """The column reader and template writer agree with the row-by-row code they replaced."""
+
+    # No "huge int": there the row-by-row reader let numpy's OverflowError escape;
+    # test_first_bad_line_across_columns and test_cli's corrupt-CSV cases cover it.
+    @given(embedding_files(["short", "extra", "bad int", "bad float"]))
+    @settings(max_examples=300, deadline=None)
+    def test_embedding_reader_matches_row_by_row(self, table_dir, text):
+        path = table_dir / "e.csv"
+        path.write_text(text)
+        got, expected = outcome(read_embedding, path), outcome(row_by_row_read_embedding, path)
+        if not isinstance(expected[0], Embedding):
+            assert got == expected
+            return
+        (back, scores), (ref, ref_scores) = got, expected
+        assert (back.space, back.stride, type(back.stride)) == (ref.space, ref.stride, int)
+        for column in ("e1", "e2", "generation", "member_index"):
+            assert bits(getattr(back, column)) == bits(getattr(ref, column)), column
+        assert bits(scores) == bits(ref_scores)
+
+    @given(st.lists(hv_float_texts, min_size=1, max_size=8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_hv_reader_matches_row_by_row(self, table_dir, values, data):
+        rows = [[str(t), v] for t, v in enumerate(values)]
+        if data.draw(st.booleans()):
+            faults = st.sampled_from(["short", "extra", "bad int", "bad float", "huge int"])
+            rows = data.draw(corrupted(rows, (int, float), data.draw(st.lists(faults, min_size=1, max_size=3))))
+        elif data.draw(st.booleans()):
+            rows[data.draw(st.integers(0, len(rows) - 1))][0] = str(data.draw(INT64.filter(lambda n: n >= len(rows))))
+        path = table_dir / "hv.csv"
+        path.write_text("\n".join(["gen,hv"] + [",".join(row) for row in rows]) + "\n")
+        got, expected = outcome(read_hv_trace, path), outcome(row_by_row_read_hv_trace, path)
+        if isinstance(expected, HypervolumeTrace):
+            assert got.reference_point is None and bits(got.values) == bits(expected.values)
+        else:
+            assert got == expected
+
+    @given(st.lists(hv_values, min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_hv_writer_matches_row_by_row(self, table_dir, values):
+        trace = HypervolumeTrace(None, np.array(values))
+        write_hv_trace(trace, table_dir / "new.csv")
+        row_by_row_write_hv_trace(trace, table_dir / "old.csv")
+        assert (table_dir / "new.csv").read_bytes() == (table_dir / "old.csv").read_bytes()
+        assert bits(read_hv_trace(table_dir / "new.csv").values) == bits(trace.values)
+
+    @pytest.mark.parametrize("read, header, faults, line", [
+        (read_embedding, emit.EMBEDDING_CSV_HEADER, {3: (2, "one"), 5: (0, "x")}, 3),
+        (read_embedding, emit.EMBEDDING_CSV_HEADER, {3: (6, "1.0"), 4: (4, "nan?")}, 3),
+        (read_embedding, emit.EMBEDDING_CSV_HEADER, {4: (1, "9" * 20), 5: (3, "")}, 4),
+        (read_hv_trace, emit.HV_CSV_HEADER, {2: (1, "x"), 3: (0, "y")}, 2),
+        (read_hv_trace, emit.HV_CSV_HEADER, {4: (1, "x"), 3: (0, "y")}, 3),
+    ], ids=["e1-before-gen", "stride-before-score", "huge-idx-before-e2", "hv-before-gen", "gen-before-hv"])
+    def test_first_bad_line_across_columns(self, tmp_path, read, header, faults, line):
+        row = {emit.EMBEDDING_CSV_HEADER: "0,0,1.5,2.5,0.5,search,1", emit.HV_CSV_HEADER: "{t},0.5"}[header]
+        rows = [row.format(t=t).split(",") for t in range(5)]
+        for lineno, (column, text) in faults.items():
+            rows[lineno - 2][column] = text
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        with pytest.raises(MalformedRecordError, match=f": line {line}:"):
+            read(path)
+
+    def test_hv_rows_parse_before_gen_is_checked(self, tmp_path):
+        """A gap in gen is reported only once every row parses, even when the gap comes first."""
+        path = tmp_path / "hv.csv"
+        path.write_text("gen,hv\n0,0.5\n5,0.6\n2,x\n")
+        with pytest.raises(MalformedRecordError, match=": line 4:"):
+            read_hv_trace(path)
+        path.write_text("gen,hv\n0,0.5\n5,0.6\n2,0.7\n")
+        with pytest.raises(MalformedRecordError, match=": line 3: gen 5, expected 1"):
+            read_hv_trace(path)
