@@ -1,11 +1,12 @@
 """Command-line interface: run, embed, hv, render, and pipeline.
 
-Every option can come from three places with fixed precedence: explicit
-flags beat values from a ``--config`` file (plain ``key = value`` lines,
-``#`` comments, unknown keys rejected), which beat built-in defaults.
-Exit codes: 0 success, 1 I/O or data errors, 2 usage or configuration
-errors.  Each command resolves and checks its options before it runs a
-stage, and ``pipeline`` runs the same stage functions as the subcommands.
+Every option is a key of ``_OPTIONS`` with the type that converts it.  A
+flag stores under its key; a ``--config`` file (``key = value`` lines,
+``#`` comments, unknown keys rejected) sets keys by name, and a command
+reads only the keys it has a flag for.  Flags beat config values, which
+beat the defaults of the module that owns the option.  Exit codes: 0
+success, 1 I/O or data errors, 2 usage or configuration errors.  Each
+command checks its options before it runs a stage.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import ConfigError, ContractError, OperatorConfig
-from .embedding import DEFAULT_MAX_POINTS, as_space, embed_history, sampled_generations
+from .embedding import DEFAULT_MAX_POINTS, EmbeddingSpace, as_space, embed_history, sampled_generations
 from .emit import (
     HistoryFormatError,
     MalformedRecordError,
@@ -39,30 +41,29 @@ from .metrics import (
     exploration_profile,
     hypervolume_trace,
 )
-from .optimizer import RunConfig, default_population_size, run
-from .problems import make_spec
+from .optimizer import ALGORITHMS, RunConfig, default_population_size, run
+from .problems import PROBLEM_NAMES, make_spec
 
 __all__ = ["main", "cmd_run", "cmd_embed", "cmd_hv", "cmd_render", "cmd_pipeline"]
 
-_CONFIG_KEYS = frozenset(
-    {
-        "problem",
-        "objectives",
-        "k",
-        "algorithm",
-        "population_size",
-        "evaluation_budget",
-        "seed",
-        "crossover_probability",
-        "mutation_probability",
-        "sbx_eta",
-        "pm_eta",
-        "max_points",
-        "space",
-        "metric_space",
-        "reference",
-    }
-)
+# Each option's config key, which its flag stores under, and type, in README order.
+_OPTIONS = {
+    "problem": str,
+    "objectives": int,
+    "k": int,
+    "algorithm": str,
+    "population_size": int,
+    "evaluation_budget": int,
+    "seed": int,
+    "crossover_probability": float,
+    "mutation_probability": float,
+    "sbx_eta": float,
+    "pm_eta": float,
+    "max_points": int,
+    "space": str,
+    "metric_space": str,
+    "reference": str,
+}
 
 
 def _load_config(path) -> dict[str, str]:
@@ -80,71 +81,56 @@ def _load_config(path) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
 
-def _pick(flag_value, cfg: dict[str, str], key: str, cast, default=None):
-    """Precedence: command-line flag, then config file, then default."""
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except ValueError:
-            raise ConfigError(f"config value {key} = {cfg[key]!r} is not a valid {cast.__name__}") from None
-    return default
+def _options(args) -> dict:
+    """The options this command has a flag for and a flag or its ``--config`` file sets; flags win."""
+    cfg = _load_config(args.config) if args.config else {}
+    opts = {}
+    for key, kind in _OPTIONS.items():
+        if getattr(args, key, None) is not None:
+            opts[key] = getattr(args, key)
+        elif hasattr(args, key) and key in cfg:
+            try:
+                opts[key] = kind(cfg[key])
+            except ValueError:
+                raise ConfigError(f"config value {key} = {cfg[key]!r} is not a valid {kind.__name__}") from None
+    return opts
 
 
-def _config_of(args) -> dict[str, str]:
-    return _load_config(args.config) if getattr(args, "config", None) else {}
-
-
-def _resolve_run(args, cfg):
-    problem = _pick(args.problem, cfg, "problem", str)
-    if problem is None:
+def _resolve_run(opts):
+    """Problem, run and operator settings; the defaults that depend on M are chosen here."""
+    if "problem" not in opts:
         raise ConfigError("no problem given: pass --problem or set it in a config file")
-    M = _pick(args.objectives, cfg, "objectives", int, 3)
-    k = _pick(args.k, cfg, "k", int)
-    algorithm = _pick(args.algorithm, cfg, "algorithm", str, "nsga2" if M <= 3 else "nsga3")
-    seed = _pick(args.seed, cfg, "seed", int, 0)
+    M = opts.get("objectives", 3)
     try:
-        spec = make_spec(problem, M, k)
-        population = _pick(args.pop, cfg, "population_size", int, default_population_size(M))
-        budget = _pick(args.evaluations, cfg, "evaluation_budget", int, 100_000 if M <= 3 else 200_000)
+        spec = make_spec(opts["problem"], M, opts.get("k"))
         run_config = RunConfig(
-            population_size=population,
-            evaluation_budget=budget,
-            seed=seed,
-            algorithm=algorithm,
+            population_size=opts.get("population_size", default_population_size(M)),
+            evaluation_budget=opts.get("evaluation_budget", 100_000 if M <= 3 else 200_000),
+            seed=opts.get("seed", 0),
+            algorithm=opts.get("algorithm", "nsga2" if M <= 3 else "nsga3"),
         )
-        operators = OperatorConfig(
-            crossover_probability=_pick(args.crossover_probability, cfg, "crossover_probability", float, 0.8),
-            mutation_probability=_pick(args.mutation_probability, cfg, "mutation_probability", float, 0.1),
-            sbx_eta=_pick(args.sbx_eta, cfg, "sbx_eta", float, 15.0),
-            pm_eta=_pick(args.pm_eta, cfg, "pm_eta", float, 7.0),
-        )
+        operators = OperatorConfig(**{f.name: opts[f.name] for f in fields(OperatorConfig) if f.name in opts})
     except ContractError as exc:
         # Bad parameter values at the CLI boundary are usage errors.
         raise ConfigError(str(exc)) from None
     return spec, run_config, operators
 
 
-def _pick_space(flag_value, cfg: dict[str, str], key: str):
-    """An embedding space from flag, config or the "search" default; unknown names are usage errors."""
-    try:
-        return as_space(_pick(flag_value, cfg, key, str, "search"))
-    except ContractError as exc:
-        raise ConfigError(f"config value {key}: {exc}") from None
-
-
-def _resolve_embed(args, cfg):
-    """The embed stage's exploration metric space and point cap, known before any history is read."""
-    metric_space = _pick_space(args.metric_space, cfg, "metric_space")
-    max_points = _pick(args.max_points, cfg, "max_points", int, DEFAULT_MAX_POINTS)
-    return metric_space, max_points
+def _resolve_embed(opts):
+    """Embedding space, metric space (both ``search`` unless set) and point cap, known before any history is read."""
+    spaces = []
+    for key in ("space", "metric_space"):
+        try:
+            spaces.append(as_space(opts.get(key, EmbeddingSpace.SEARCH)))
+        except ContractError as exc:
+            raise ConfigError(f"config value {key}: {exc}") from None
+    return *spaces, opts.get("max_points", DEFAULT_MAX_POINTS)
 
 
 def _check_max_points(max_points: int, population_size: int) -> None:
@@ -155,8 +141,8 @@ def _check_max_points(max_points: int, population_size: int) -> None:
         raise ConfigError(str(exc)) from None
 
 
-def _parse_reference(text: str | None, cfg: dict[str, str]):
-    value = _pick(text, cfg, "reference", str, "auto")
+def _parse_reference(opts):
+    value = opts.get("reference", "auto")
     if value == "auto":
         return "auto"
     try:
@@ -224,8 +210,7 @@ def _render_hv_stage(trace, out) -> None:
 
 def cmd_run(args) -> int:
     _check_out_dirs(args.out)
-    cfg = _config_of(args)
-    spec, run_config, operators = _resolve_run(args, cfg)
+    spec, run_config, operators = _resolve_run(_options(args))
     started = time.perf_counter()
     history = _run_stage(spec, run_config, operators, args.out)
     elapsed = time.perf_counter() - started
@@ -239,9 +224,7 @@ def cmd_run(args) -> int:
 
 def cmd_embed(args) -> int:
     _check_out_dirs(args.out)
-    cfg = _config_of(args)
-    space = _pick_space(args.space, cfg, "space")
-    metric_space, max_points = _resolve_embed(args, cfg)
+    space, metric_space, max_points = _resolve_embed(_options(args))
     history = read_history(args.history)
     _check_max_points(max_points, history.population_size)
     profile = exploration_profile(history, metric_space)
@@ -255,8 +238,7 @@ def cmd_embed(args) -> int:
 
 def cmd_hv(args) -> int:
     _check_out_dirs(args.out)
-    cfg = _config_of(args)
-    reference = _parse_reference(args.ref, cfg)
+    reference = _parse_reference(_options(args))
     history = read_history(args.history)
     _check_reference(reference, history.M)
     trace = _hv_stage(history, reference, args.out)
@@ -293,11 +275,11 @@ def cmd_render(args) -> int:
 def cmd_pipeline(args) -> int:
     # Every option is checked before optimising or creating --outdir; the
     # embed and hv stages would only meet a bad one after the run.
-    cfg = _config_of(args)
-    spec, run_config, operators = _resolve_run(args, cfg)
-    metric_space, max_points = _resolve_embed(args, cfg)
+    opts = _options(args)
+    spec, run_config, operators = _resolve_run(opts)
+    _, metric_space, max_points = _resolve_embed(opts)  # pipeline embeds both spaces
     _check_max_points(max_points, run_config.population_size)
-    reference = _parse_reference(args.ref, cfg)
+    reference = _parse_reference(opts)
     _check_reference(reference, spec.M)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -305,7 +287,7 @@ def cmd_pipeline(args) -> int:
     started = time.perf_counter()
     history = _run_stage(spec, run_config, operators, outdir / "history.jsonl")
     profile = exploration_profile(history, metric_space)
-    for space in ("search", "objective"):
+    for space in EmbeddingSpace:
         embedding = _embed_stage(history, space, max_points, profile, outdir / f"embedding.{space}.csv")
         _render_history_stage(embedding, profile, outdir / f"figure.{space}.svg")
     trace = _hv_stage(history, reference, outdir / "hv.csv")
@@ -319,18 +301,23 @@ def cmd_pipeline(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def flag(parser, spelling, key=None, **kwargs):  # stores under its config key, typed by _OPTIONS
+        key = key or spelling[2:].replace("-", "_")
+        parser.add_argument(spelling, dest=key, type=_OPTIONS[key], **kwargs)
+
+    spaces = [str(space) for space in EmbeddingSpace]
     run_flags = argparse.ArgumentParser(add_help=False)
-    run_flags.add_argument("--problem", help="dtlz1|dtlz2|dtlz3|dtlz4|dtlz7")
-    run_flags.add_argument("--objectives", type=int, help="number of objectives M (default 3)")
-    run_flags.add_argument("--k", type=int, help="distance-variable count (default per problem)")
-    run_flags.add_argument("--algorithm", choices=["nsga2", "nsga3"])
-    run_flags.add_argument("--pop", type=int, help="population size (default from M)")
-    run_flags.add_argument("--evaluations", type=int, help="evaluation budget")
-    run_flags.add_argument("--seed", type=int, help="run seed (default 0)")
-    run_flags.add_argument("--crossover-probability", type=float, dest="crossover_probability")
-    run_flags.add_argument("--mutation-probability", type=float, dest="mutation_probability")
-    run_flags.add_argument("--sbx-eta", type=float, dest="sbx_eta")
-    run_flags.add_argument("--pm-eta", type=float, dest="pm_eta")
+    flag(run_flags, "--problem", help="|".join(PROBLEM_NAMES))
+    flag(run_flags, "--objectives", help="number of objectives M (default 3)")
+    flag(run_flags, "--k", help="distance-variable count (default per problem)")
+    flag(run_flags, "--algorithm", choices=ALGORITHMS)
+    flag(run_flags, "--pop", "population_size", help="population size (default from M)")
+    flag(run_flags, "--evaluations", "evaluation_budget", help="evaluation budget")
+    flag(run_flags, "--seed", help="run seed (default 0)")
+    flag(run_flags, "--crossover-probability")
+    flag(run_flags, "--mutation-probability")
+    flag(run_flags, "--sbx-eta")
+    flag(run_flags, "--pm-eta")
     run_flags.add_argument("--config", help="key = value configuration file")
 
     parser = argparse.ArgumentParser(
@@ -347,16 +334,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="embed a history into 2-D and write CSV")
     p.add_argument("--history", required=True)
-    p.add_argument("--space", choices=["search", "objective"])
-    p.add_argument("--metric-space", choices=["search", "objective"], dest="metric_space")
-    p.add_argument("--max-points", type=int, dest="max_points")
+    flag(p, "--space", choices=spaces)
+    flag(p, "--metric-space", choices=spaces)
+    flag(p, "--max-points")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_embed)
 
     p = sub.add_parser("hv", help="write a per-generation hypervolume trace CSV")
     p.add_argument("--history", required=True)
-    p.add_argument("--ref", help="'auto' or comma-separated reference point")
+    flag(p, "--ref", "reference", help="'auto' or comma-separated reference point")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_hv)
@@ -370,9 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "pipeline", parents=[run_flags], help="run + embed both spaces + hv + render, into a directory"
     )
-    p.add_argument("--metric-space", choices=["search", "objective"], dest="metric_space")
-    p.add_argument("--max-points", type=int, dest="max_points")
-    p.add_argument("--ref")
+    flag(p, "--metric-space", choices=spaces)
+    flag(p, "--max-points")
+    flag(p, "--ref", "reference")
     p.add_argument("--outdir", required=True)
     p.set_defaults(handler=cmd_pipeline)
     return parser

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ContractError, RunHistory
+from .core import ContractError, GenerationRecord, RunHistory
 
 __all__ = [
     "EmbeddingSpace",
@@ -62,6 +62,10 @@ def as_space(space) -> EmbeddingSpace:
         raise ContractError(
             f"unknown space {space!r}; expected 'search' or 'objective'"
         ) from None
+
+
+def _space_matrix(record: GenerationRecord, space: EmbeddingSpace) -> np.ndarray:
+    return record.x if space is EmbeddingSpace.SEARCH else record.y
 
 
 class HistorySample(NamedTuple):
@@ -102,7 +106,7 @@ def concatenate(history: RunHistory, space, max_points: int = DEFAULT_MAX_POINTS
     idxs = []
     for t in picks:
         rec = history.generations[t]
-        blocks.append(rec.x if space is EmbeddingSpace.SEARCH else rec.y)
+        blocks.append(_space_matrix(rec, space))
         gens.append(np.full(rec.size, t, dtype=np.int64))
         idxs.append(np.arange(rec.size, dtype=np.int64))
     return HistorySample(

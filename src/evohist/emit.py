@@ -280,16 +280,21 @@ def _columns(rows: list[str], kinds) -> list:
     """CSV rows as one column per kind: ``int`` and ``float`` through Python's own into int64 and float64 arrays.
 
     A ``str`` column stays as its texts.  A row without one field per
-    kind, or a text its kind rejects, raises ValueError; an integer beyond
-    int64 raises OverflowError.
+    kind, a text its kind rejects, or a non-finite ``float`` (``nan``,
+    ``inf``, ``1e999``) raises ValueError; an integer beyond int64 raises
+    OverflowError.
     """
     k = len(kinds)
     for row in rows:
         if row.count(",") != k - 1:
             raise ValueError(f"expected {k} fields, got {row.count(',') + 1}")
     texts = ",".join(rows).split(",")
-    return [texts[c::k] if kind is str else np.fromiter(map(kind, texts[c::k]), np.int64 if kind is int else float)
-            for c, kind in enumerate(kinds)]
+    columns = [texts[c::k] if kind is str else np.fromiter(map(kind, texts[c::k]), np.int64 if kind is int else float)
+               for c, kind in enumerate(kinds)]
+    for c, kind in enumerate(kinds):
+        if kind is float and not np.isfinite(columns[c]).all():
+            raise ValueError(f"field {c + 1} is not a finite number")
+    return columns
 
 
 def _read_table(path, header: str, kinds) -> list:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContractError, GenerationRecord, RunHistory, non_dominated_subset, objective_vector
-from .embedding import EmbeddingSpace, _sq_diff_sum, as_space
+from .embedding import EmbeddingSpace, _space_matrix, _sq_diff_sum, as_space
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -57,10 +57,6 @@ _SMALLEST_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 
 class UnsupportedDimensionError(ValueError):
     """Raised when the exact hypervolume routine is asked for M > 5."""
-
-
-def _space_matrix(record: GenerationRecord, space: EmbeddingSpace) -> np.ndarray:
-    return record.x if space is EmbeddingSpace.SEARCH else record.y
 
 
 def nearest_neighbour_distances(record: GenerationRecord, space="search") -> np.ndarray:

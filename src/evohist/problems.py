@@ -25,23 +25,22 @@ from .core import ConfigError, ContractError, objective_vector
 
 __all__ = ["ProblemSpec", "make_spec", "evaluate_batch", "front_residual", "DEFAULT_K"]
 
-PROBLEM_NAMES = ("dtlz1", "dtlz2", "dtlz3", "dtlz4", "dtlz7")
-
 # Distance-variable counts per problem; the remaining M-1 variables are
 # positional.
 DEFAULT_K = {"dtlz1": 5, "dtlz2": 10, "dtlz3": 10, "dtlz4": 10, "dtlz7": 20}
+
+PROBLEM_NAMES = tuple(DEFAULT_K)
 
 _DTLZ4_ALPHA = 100.0
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A fully resolved problem instance: name, M objectives, k distance vars."""
+    """A fully resolved problem instance: name, M objectives, k distance vars, D = k + M - 1 variables."""
 
     name: str
     M: int
     k: int
-    D: int
 
     def __post_init__(self):
         if self.name not in PROBLEM_NAMES:
@@ -50,8 +49,10 @@ class ProblemSpec:
             raise ConfigError(f"M must be at least 2, got {self.M}")
         if self.k < 1:
             raise ConfigError(f"k must be positive, got {self.k}")
-        if self.D != self.k + self.M - 1:
-            raise ConfigError(f"D must equal k + M - 1 = {self.k + self.M - 1}, got {self.D}")
+
+    @property
+    def D(self) -> int:
+        return self.k + self.M - 1
 
 
 def make_spec(name: str, M: int, k: int | None = None) -> ProblemSpec:
@@ -61,7 +62,7 @@ def make_spec(name: str, M: int, k: int | None = None) -> ProblemSpec:
     name = name.lower()
     if k is None:
         k = DEFAULT_K[name]
-    return ProblemSpec(name=name, M=int(M), k=int(k), D=int(k) + int(M) - 1)
+    return ProblemSpec(name=name, M=int(M), k=int(k))
 
 
 def _g_rastrigin(x_dist: np.ndarray) -> np.ndarray:

@@ -1,14 +1,18 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
+from evohist import cli
 from evohist.cli import main
+from evohist.core import OperatorConfig
 
 RUN_FLAGS = ["--pop", "8", "--evaluations", "80", "--seed", "5"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +65,13 @@ class TestRun:
                      "--out", str(out)]) == 0
         header = header_of(out)
         assert header["sbx_eta"] == 20.0 and header["mutation_probability"] == 0.2
+
+    def test_operator_defaults_are_operator_configs(self, tmp_path):
+        """With no operator flag or key, the header carries exactly ``OperatorConfig()``'s values."""
+        out = tmp_path / "h.jsonl"
+        assert main(["run", "--problem", "dtlz2", *RUN_FLAGS, "--out", str(out)]) == 0
+        header = header_of(out)
+        assert {f.name: header[f.name] for f in fields(OperatorConfig)} == asdict(OperatorConfig())
 
     def test_requires_problem(self, tmp_path, capsys):
         assert main(["run", *RUN_FLAGS, "--out", str(tmp_path / "h.jsonl")]) == 2
@@ -447,6 +458,57 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "h.jsonl")]) == 2
 
 
+def option_flags():
+    """(command, key, flag) for every flag that stores under a key of ``cli._OPTIONS``, read off the parser."""
+    [commands] = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(command, action.dest, action.option_strings[0])
+            for command, parser in commands.choices.items()
+            for action in parser._actions if action.dest in cli._OPTIONS]
+
+
+# Per key, a text its flag and its config line both accept, and the value it must resolve to.
+OPTION_TEXTS = {
+    "problem": ("dtlz1", "dtlz1"), "objectives": ("4", 4), "k": ("3", 3), "algorithm": ("nsga3", "nsga3"),
+    "population_size": ("12", 12), "evaluation_budget": ("48", 48), "seed": ("9", 9),
+    "crossover_probability": ("0.5", 0.5), "mutation_probability": ("0.25", 0.25), "sbx_eta": ("20", 20.0),
+    "pm_eta": ("9.5", 9.5), "max_points": ("36", 36), "space": ("objective", "objective"),
+    "metric_space": ("objective", "objective"), "reference": ("11,11", "11,11"),
+}
+# The arguments each command needs besides its options; render reads no config file.
+REQUIRED = {
+    "run": ["--out", "h.jsonl"],
+    "embed": ["--history", "h.jsonl", "--out", "e.csv"],
+    "hv": ["--history", "h.jsonl", "--out", "t.csv"],
+    "pipeline": ["--outdir", "out"],
+}
+FLAGGED = {(command, key) for command, key, _ in option_flags()}
+
+
+class TestOptionTable:
+    """One key → type table: a config key resolves exactly like its flag, and only where the command has that flag."""
+
+    def options_from_config(self, tmp_path, command, body):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(body)
+        return cli._options(cli._build_parser().parse_args([command, "--config", str(cfg), *REQUIRED[command]]))
+
+    def test_every_key_has_a_flag_and_a_text(self):
+        assert {key for _, key in FLAGGED} == set(cli._OPTIONS) == set(OPTION_TEXTS)
+
+    @pytest.mark.parametrize("command, key, flag", option_flags(), ids=lambda v: v.lstrip("-"))
+    def test_config_key_resolves_like_its_flag(self, tmp_path, command, key, flag):
+        text, expected = OPTION_TEXTS[key]
+        by_flag = cli._options(cli._build_parser().parse_args([command, flag, text, *REQUIRED[command]]))
+        by_config = self.options_from_config(tmp_path, command, f"{key} = {text}\n")
+        assert by_flag == by_config == {key: expected}
+        assert type(by_flag[key]) is type(by_config[key]) is type(expected)
+
+    @pytest.mark.parametrize("command, key", sorted((c, k) for c in REQUIRED for k in cli._OPTIONS
+                                                    if (c, k) not in FLAGGED))
+    def test_key_without_a_flag_is_ignored(self, tmp_path, command, key):
+        assert self.options_from_config(tmp_path, command, f"{key} = not a valid value\n") == {}
+
+
 @pytest.mark.parametrize("argv, code", [
     (["hv", "--history"], 1),
     (["render", "--embedding"], 1),
@@ -470,7 +532,13 @@ def test_non_utf8_input_is_an_error_line(tmp_path, capsys, argv, code):
     ("--hv-trace", 2, 1, "0.5.5"),
     ("--hv-trace", 3, 0, "7"),
     ("--hv-trace", 4, 0, "99999999999999999999"),
-], ids=["short-row", "bad-int", "bad-float", "huge-gen", "huge-negative-idx", "bad-hv", "gen-gap", "huge-hv-gen"])
+    ("--embedding", 3, 2, "inf"),
+    ("--embedding", 4, 3, "nan"),
+    ("--embedding", 5, 4, "-1e999"),
+    ("--hv-trace", 3, 1, "inf"),
+    ("--hv-trace", 2, 1, "nan"),
+], ids=["short-row", "bad-int", "bad-float", "huge-gen", "huge-negative-idx", "bad-hv", "gen-gap", "huge-hv-gen",
+        "inf-e1", "nan-e2", "overflow-score", "inf-hv", "nan-hv"])
 def test_corrupt_csv_is_one_error_line(artifacts, tmp_path, flag, lineno, column, field):
     """A corrupt CSV row stops ``render`` with exit 1, one ``error:`` line naming it, no traceback."""
     _, _, embedding, trace = artifacts

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 
@@ -704,8 +705,19 @@ class TestArrayAtOnceOracles:
             assert (tmp_path / "e.csv").read_bytes() == per_point_embedding_csv(embedding, profile).encode()
 
 
+def finite(text):
+    """float(text), refusing nan and ±inf as the CSV readers do."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def row_by_row_read_embedding(path):
-    """read_embedding as it parsed one row at a time, kept as the column reader's reference."""
+    """read_embedding as it parsed one row at a time, kept as the column reader's reference.
+
+    Non-finite reals are refused on their line, as the column reader refuses them.
+    """
     lines = emit._read_lines(path)
     if not lines or lines[0] != emit.EMBEDDING_CSV_HEADER:
         raise MalformedRecordError(f"{path}: line 1: expected header {emit.EMBEDDING_CSV_HEADER!r}")
@@ -720,9 +732,9 @@ def row_by_row_read_embedding(path):
         try:
             gens.append(int(parts[0]))
             idxs.append(int(parts[1]))
-            e1s.append(float(parts[2]))
-            e2s.append(float(parts[3]))
-            scores.append(float(parts[4]))
+            e1s.append(finite(parts[2]))
+            e2s.append(finite(parts[3]))
+            scores.append(finite(parts[4]))
             spaces.add(parts[5])
             strides.add(int(parts[6]))
         except ValueError as exc:
@@ -751,7 +763,7 @@ def row_by_row_write_hv_trace(trace, path):
 
 
 def row_by_row_read_hv_trace(path):
-    """read_hv_trace as it parsed one row at a time."""
+    """read_hv_trace as it parsed one row at a time, refusing non-finite values on their line."""
     lines = emit._read_lines(path)
     if not lines or lines[0] != emit.HV_CSV_HEADER:
         raise MalformedRecordError(f"{path}: line 1: expected header {emit.HV_CSV_HEADER!r}")
@@ -761,7 +773,7 @@ def row_by_row_read_hv_trace(path):
         try:
             if len(parts) != 2 or int(parts[0]) != lineno - 2:
                 raise ValueError("expected 'gen,hv' with consecutive gen indices")
-            values.append(float(parts[1]))
+            values.append(finite(parts[1]))
         except ValueError as exc:
             raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
     if not values:
@@ -783,6 +795,7 @@ BAD_TEXTS = {
     "bad int": (int, ["", "x", "1.5", "1e3", "0x10", "nan", "--1", "1 2"]),
     "bad float": (float, ["", "one", "1.2.3", "0x1p3", "1e", "--1", "in f"]),
     "huge int": (int, ["9223372036854775808", "-9223372036854775809", "99999999999999999999"]),
+    "non-finite": (float, ["nan", "-NaN", "inf", "-Infinity", " +inf ", "1e999", "-1e400"]),
 }
 EMBEDDING_KINDS = (int, int, float, float, float, str, int)
 
@@ -799,7 +812,7 @@ hv_float_texts = spelled(hv_values, FLOAT_SPELLINGS)
 
 @st.composite
 def corrupted(draw, rows, kinds, faults):
-    """``rows`` with ``faults`` (short row, extra field, bad int, bad float or huge int) on drawn rows."""
+    """``rows`` with ``faults`` (short row, extra field, bad int, bad float, huge int or non-finite real) on drawn rows."""
     rows = [list(row) for row in rows]
     for fault in faults:
         row = rows[draw(st.integers(0, len(rows) - 1))]
@@ -855,7 +868,7 @@ class TestTableOracles:
 
     # No "huge int": there the row-by-row reader let numpy's OverflowError escape;
     # test_first_bad_line_across_columns and test_cli's corrupt-CSV cases cover it.
-    @given(embedding_files(["short", "extra", "bad int", "bad float"]))
+    @given(embedding_files(["short", "extra", "bad int", "bad float", "non-finite"]))
     @settings(max_examples=300, deadline=None)
     def test_embedding_reader_matches_row_by_row(self, table_dir, text):
         path = table_dir / "e.csv"
@@ -875,7 +888,7 @@ class TestTableOracles:
     def test_hv_reader_matches_row_by_row(self, table_dir, values, data):
         rows = [[str(t), v] for t, v in enumerate(values)]
         if data.draw(st.booleans()):
-            faults = st.sampled_from(["short", "extra", "bad int", "bad float", "huge int"])
+            faults = st.sampled_from(["short", "extra", "bad int", "bad float", "huge int", "non-finite"])
             rows = data.draw(corrupted(rows, (int, float), data.draw(st.lists(faults, min_size=1, max_size=3))))
         elif data.draw(st.booleans()):
             rows[data.draw(st.integers(0, len(rows) - 1))][0] = str(data.draw(INT64.filter(lambda n: n >= len(rows))))

@@ -1,18 +1,21 @@
-"""Every exported name resolves, and the benchmark's checker still imports.
+"""Every exported name resolves, the benchmark's checker still imports, and README lists every config key.
 
 A name left in an ``__all__`` after its definition is deleted, or a
 deletion the checker in ``perfbench/`` still imports, fails here rather
-than in a later star-import or benchmark run.
+than in a later star-import or benchmark run.  So does a config key
+added to the CLI without a line in README.
 """
 
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import evohist
+from evohist import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["evohist", *(f"evohist.{m.name}" for m in pkgutil.iter_modules(evohist.__path__))]
@@ -29,3 +32,8 @@ def test_benchmark_checker_imports():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # runs its imports; main() only runs as a script
     assert callable(module.main)
+
+
+def test_readme_lists_every_config_key_in_order():
+    [keys] = re.findall(r"Recognised keys: `([^`]*)`", (ROOT / "README.md").read_text())
+    assert keys.split() == list(cli._OPTIONS)
