@@ -24,7 +24,6 @@ from .embedding import (
     pairwise_sq_distances,
 )
 from .emit import (
-    FigureOptions,
     FormatVersionError,
     HistoryFormatError,
     MalformedRecordError,
@@ -99,7 +98,6 @@ __all__ = [
     "hypervolume_exact",
     "hypervolume_mc",
     "hypervolume_trace",
-    "FigureOptions",
     "HistoryFormatError",
     "FormatVersionError",
     "MalformedRecordError",

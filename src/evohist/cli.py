@@ -5,8 +5,8 @@ flag stores under its key; a ``--config`` file (``key = value`` lines,
 ``#`` comments, unknown keys rejected) sets keys by name, and a command
 reads only the keys it has a flag for.  Flags beat config values, which
 beat the defaults of the module that owns the option.  Exit codes: 0
-success, 1 I/O or data errors, 2 usage or configuration errors.  Each
-command checks its options before it runs a stage.
+success, 1 I/O or data errors, 2 usage or configuration errors.  Options
+are checked before any stage runs and before a history's records are read.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .embedding import DEFAULT_MAX_POINTS, EmbeddingSpace, as_space, embed_histo
 from .emit import (
     HistoryFormatError,
     MalformedRecordError,
+    _read_header,
     _read_lines,
     open_atomic,
     read_embedding,
@@ -188,8 +189,9 @@ def _run_stage(spec, run_config, operators, out):
 
 def _embed_stage(history, space, max_points, profile, out):
     embedding = embed_history(history, space, max_points)
-    write_embedding(embedding, profile, out)
-    return embedding
+    scores = profile.score[embedding.generation, embedding.member_index]
+    write_embedding(embedding, scores, out)
+    return embedding, scores
 
 
 def _hv_stage(history, reference, out):
@@ -225,10 +227,10 @@ def cmd_run(args) -> int:
 def cmd_embed(args) -> int:
     _check_out_dirs(args.out)
     space, metric_space, max_points = _resolve_embed(_options(args))
+    _check_max_points(max_points, _read_header(args.history)["population_size"])
     history = read_history(args.history)
-    _check_max_points(max_points, history.population_size)
     profile = exploration_profile(history, metric_space)
-    embedding = _embed_stage(history, space, max_points, profile, args.out)
+    embedding, _ = _embed_stage(history, space, max_points, profile, args.out)
     print(
         f"embed: space={embedding.space} points={embedding.n_points} "
         f"stride={embedding.stride} -> {args.out}"
@@ -239,8 +241,8 @@ def cmd_embed(args) -> int:
 def cmd_hv(args) -> int:
     _check_out_dirs(args.out)
     reference = _parse_reference(_options(args))
+    _check_reference(reference, _read_header(args.history)["M"])
     history = read_history(args.history)
-    _check_reference(reference, history.M)
     trace = _hv_stage(history, reference, args.out)
     print(f"hv: {len(trace)} generations -> {args.out}")
     return 0
@@ -288,8 +290,8 @@ def cmd_pipeline(args) -> int:
     history = _run_stage(spec, run_config, operators, outdir / "history.jsonl")
     profile = exploration_profile(history, metric_space)
     for space in EmbeddingSpace:
-        embedding = _embed_stage(history, space, max_points, profile, outdir / f"embedding.{space}.csv")
-        _render_history_stage(embedding, profile, outdir / f"figure.{space}.svg")
+        embedding, scores = _embed_stage(history, space, max_points, profile, outdir / f"embedding.{space}.csv")
+        _render_history_stage(embedding, scores, outdir / f"figure.{space}.svg")
     trace = _hv_stage(history, reference, outdir / "hv.csv")
     _render_hv_stage(trace, outdir / "figure.hv.svg")
     elapsed = time.perf_counter() - started

@@ -163,6 +163,16 @@ class OperatorConfig:
             raise ContractError("distribution indices must be finite and positive")
 
 
+def _check_run_sizes(M: int, D: int, population_size: int) -> None:
+    """A run needs at least two objectives, one decision variable and two members."""
+    if M < 2:
+        raise ContractError("a run needs at least two objectives")
+    if D < 1:
+        raise ContractError("a run needs at least one decision variable")
+    if population_size < 2:
+        raise ContractError("population size must be at least 2")
+
+
 @dataclass(frozen=True)
 class RunHistory:
     """An optimisation run: its configuration plus every generation in order.
@@ -184,12 +194,7 @@ class RunHistory:
     generations: tuple[GenerationRecord, ...] = ()
 
     def __post_init__(self):
-        if self.M < 2:
-            raise ContractError("a run needs at least two objectives")
-        if self.D < 1:
-            raise ContractError("a run needs at least one decision variable")
-        if self.population_size < 2:
-            raise ContractError("population size must be at least 2")
+        _check_run_sizes(self.M, self.D, self.population_size)
         gens = tuple(self.generations)
         if not gens:
             raise ContractError("a run history must contain at least one generation")

@@ -23,20 +23,19 @@ import json
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
-from .core import ContractError, GenerationRecord, OperatorConfig, RunHistory
-from .embedding import Embedding
-from .metrics import ExplorationProfile, HypervolumeTrace
+from .core import ContractError, GenerationRecord, OperatorConfig, RunHistory, _check_run_sizes
+from .embedding import Embedding, as_space
+from .metrics import HypervolumeTrace
 from .optimizer import RNG_ALGORITHM
 
 __all__ = [
     "HistoryFormatError",
     "FormatVersionError",
     "MalformedRecordError",
-    "FigureOptions",
     "FORMAT_VERSION",
     "RNG_ALGORITHM",
     "COLOUR_ANCHORS",
@@ -55,6 +54,13 @@ FORMAT_VERSION = 1
 
 AZIMUTH_DEG = 45.0
 ELEVATION_DEG = 25.0
+
+# The one canvas every figure is drawn on, in pixels, and the two lines that open its SVG.
+WIDTH_PX = 900
+HEIGHT_PX = 700
+_SVG_OPEN = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{WIDTH_PX}" height="{HEIGHT_PX}" viewBox="0 0 {WIDTH_PX} {HEIGHT_PX}">\n'
+             f'<rect x="0" y="0" width="{WIDTH_PX}" height="{HEIGHT_PX}" fill="#ffffff"/>')
 
 COLOUR_ANCHORS = (
     (0.0, (68, 1, 84)),
@@ -127,11 +133,11 @@ def open_atomic(path):
         raise
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; bytes that are not UTF-8 make it malformed."""
+def _read_lines(path, first_only: bool = False) -> list[str]:
+    """The lines of a UTF-8 text file, or only its first; bytes that are not UTF-8 make it malformed."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            return (fh.readline() if first_only else fh.read()).splitlines()
     except UnicodeDecodeError as exc:
         raise MalformedRecordError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -182,28 +188,28 @@ def write_history(history: RunHistory, path) -> None:
             fh.write(f'{{"gen": {rec.generation}, "x": [{", ".join(x_texts)}], "y": [{", ".join(y_texts)}]}}\n')
 
 
-def read_history(path) -> RunHistory:
-    """Parse a file written by write_history back into a RunHistory.
+def _parse_record(path, lineno: int, text: str) -> dict:
+    """One history line as a JSON object; anything else is malformed, naming the line."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecordError(f"{path}: line {lineno}: {exc.msg}") from None
+    if not isinstance(record, dict):
+        raise MalformedRecordError(f"{path}: line {lineno}: expected a JSON object")
+    return record
 
-    Raises FormatVersionError on a version mismatch, MalformedRecordError
-    on bytes that are not UTF-8 and (naming the line) on unparseable lines
-    or missing or mistyped fields, and the usual contract errors when the
-    decoded records violate history invariants such as generation ordering.
+
+def _read_header(path, lines: list[str] | None = None) -> dict:
+    """The run fields of a history's header line, ``operators`` included, as RunHistory takes them.
+
+    ``lines`` are the file's lines; without them only the first is read.
+    Raises FormatVersionError or MalformedRecordError naming line 1 on a
+    bad header, and ContractError on sizes or operators a run cannot have.
     """
-    lines = _read_lines(path)
+    lines = _read_lines(path, first_only=True) if lines is None else lines
     if not lines:
         raise MalformedRecordError(f"{path}: line 1: empty file, expected a header record")
-
-    def parse(lineno: int, text: str) -> dict:
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecordError(f"{path}: line {lineno}: {exc.msg}") from None
-        if not isinstance(record, dict):
-            raise MalformedRecordError(f"{path}: line {lineno}: expected a JSON object")
-        return record
-
-    header = parse(1, lines[0])
+    header = _parse_record(path, 1, lines[0])
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatVersionError(
@@ -217,11 +223,25 @@ def read_history(path) -> RunHistory:
         if type(header[key]) not in accepted:
             raise MalformedRecordError(f"{path}: line 1: header field {key!r} is not {name}: {header[key]!r}")
     run_fields = {key: kind(header[key]) for key, kind in _HEADER.items()}
-    operators = OperatorConfig(**{f.name: run_fields.pop(f.name) for f in fields(OperatorConfig)})
+    run_fields["operators"] = OperatorConfig(**{f.name: run_fields.pop(f.name) for f in fields(OperatorConfig)})
+    _check_run_sizes(run_fields["M"], run_fields["D"], run_fields["population_size"])
     del run_fields["format_version"], run_fields["rng_algorithm"]
+    return run_fields
+
+
+def read_history(path) -> RunHistory:
+    """Parse a file written by write_history back into a RunHistory.
+
+    Raises FormatVersionError on a version mismatch, MalformedRecordError
+    on bytes that are not UTF-8 and (naming the line) on unparseable lines
+    or missing or mistyped fields, and the usual contract errors when the
+    decoded records violate history invariants such as generation ordering.
+    """
+    lines = _read_lines(path)
+    run_fields = _read_header(path, lines)
     generations = []
     for lineno, text in enumerate(lines[1:], start=2):
-        record = parse(lineno, text)
+        record = _parse_record(path, lineno, text)
         for key in ("gen", "x", "y"):
             if key not in record:
                 raise MalformedRecordError(f"{path}: line {lineno}: generation record missing {key!r}")
@@ -236,24 +256,15 @@ def read_history(path) -> RunHistory:
             raise ContractError(f"{path}: line {lineno}: {exc}") from None
     if not generations:
         raise MalformedRecordError(f"{path}: line 2: no generation records after the header")
-    return RunHistory(**run_fields, operators=operators, generations=tuple(generations))
+    return RunHistory(**run_fields, generations=tuple(generations))
 
 
 EMBEDDING_CSV_HEADER = "gen,idx,e1,e2,score,space,stride"
 
 
-def _point_scores(embedding: Embedding, profile) -> np.ndarray:
-    """Per-embedded-point scores from a profile object or a plain array."""
-    if isinstance(profile, ExplorationProfile):
-        n_gen, pop = profile.score.shape
-        gen, idx = embedding.generation, embedding.member_index
-        if gen.min() < 0 or gen.max() >= n_gen or idx.min() < 0 or idx.max() >= pop:
-            raise ContractError(
-                f"profile of {n_gen} generations x {pop} members does not cover every "
-                f"embedded point (generations {gen.min()}..{gen.max()}, members {idx.min()}..{idx.max()})"
-            )
-        return profile.score[gen, idx]
-    scores = np.asarray(profile, dtype=float)
+def _point_scores(embedding: Embedding, scores) -> np.ndarray:
+    """The scores as floats, checked to be one per embedded point."""
+    scores = np.asarray(scores, dtype=float)
     if scores.shape != (embedding.n_points,):
         raise ContractError(
             f"need one score per embedded point ({embedding.n_points}), got shape {scores.shape}"
@@ -319,14 +330,12 @@ def _read_table(path, header: str, kinds) -> list:
         raise
 
 
-def write_embedding(embedding: Embedding, profile, path) -> None:
-    """Write an embedding plus per-point exploration scores as CSV.
+def write_embedding(embedding: Embedding, scores, path) -> None:
+    """Write an embedding plus its exploration scores, one per point, as CSV.
 
-    ``profile`` is an ExplorationProfile covering every sampled
-    generation, or a pre-extracted score array aligned with the points.
     Rows are sorted by (gen, idx) and formatted by one ``%.17g`` template.
     """
-    scores = _point_scores(embedding, profile)
+    scores = _point_scores(embedding, scores)
     order = np.lexsort((embedding.member_index, embedding.generation))
     columns = (embedding.generation, embedding.member_index, embedding.e1, embedding.e2, scores)
     _write_table(path, EMBEDDING_CSV_HEADER, f"%d,%d,%.17g,%.17g,%.17g,{embedding.space},{embedding.stride}\n",
@@ -334,13 +343,17 @@ def write_embedding(embedding: Embedding, profile, path) -> None:
 
 
 def read_embedding(path) -> tuple[Embedding, np.ndarray]:
-    """Parse an embedding CSV back into (Embedding, score array)."""
+    """Parse an embedding CSV back into (Embedding, score array); every row has line 2's space and stride."""
     gen, idx, e1, e2, scores, spaces, strides = _read_table(
         path, EMBEDDING_CSV_HEADER, (int, int, float, float, float, str, int))
-    spaces, strides = set(spaces), set(strides.tolist())
-    if len(spaces) != 1 or len(strides) != 1:
-        raise MalformedRecordError(f"{path}: space/stride columns must be constant")
-    return Embedding(spaces.pop(), e1, e2, gen, idx, stride=strides.pop()), scores
+    try:
+        space = as_space(spaces[0])
+    except ContractError as exc:
+        raise MalformedRecordError(f"{path}: line 2: {exc}") from None
+    odd = np.flatnonzero((np.asarray(spaces) != spaces[0]) | (strides != strides[0]))
+    if odd.size:
+        raise MalformedRecordError(f"{path}: line {odd[0] + 2}: space/stride differ from line 2's, must be constant")
+    return Embedding(space, e1, e2, gen, idx, stride=int(strides[0])), scores
 
 
 HV_CSV_HEADER = "gen,hv"
@@ -354,25 +367,16 @@ def write_hv_trace(trace: HypervolumeTrace, path) -> None:
 def read_hv_trace(path) -> HypervolumeTrace:
     """Parse a trace CSV; the reference point is not stored, so it is None.
 
-    Every row is parsed before ``gen`` is checked to count 0, 1, 2, …
+    Every row is parsed before ``gen`` is checked to count 0, 1, 2, … and ``hv`` to be non-negative.
     """
     gen, values = _read_table(path, HV_CSV_HEADER, (int, float))
     gaps = np.flatnonzero(gen != np.arange(gen.size))
     if gaps.size:
         raise MalformedRecordError(f"{path}: line {gaps[0] + 2}: gen {gen[gaps[0]]}, expected {gaps[0]}")
+    negative = np.flatnonzero(values < 0)
+    if negative.size:
+        raise MalformedRecordError(f"{path}: line {negative[0] + 2}: hv {values[negative[0]]} is negative")
     return HypervolumeTrace(reference_point=None, values=values)
-
-
-@dataclass(frozen=True)
-class FigureOptions:
-    """Canvas size; the projection, colour ramp and markers are fixed."""
-
-    width_px: int = 900
-    height_px: int = 700
-
-    def __post_init__(self):
-        if self.width_px < 1 or self.height_px < 1:
-            raise ContractError("figure dimensions must be positive")
 
 
 def _colours(scores) -> np.ndarray:
@@ -404,31 +408,20 @@ def _px(value: float) -> str:
     return format(value, ".2f")
 
 
-def _svg_open(options: FigureOptions) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{options.width_px}" height="{options.height_px}" '
-        f'viewBox="0 0 {options.width_px} {options.height_px}">',
-        f'<rect x="0" y="0" width="{options.width_px}" height="{options.height_px}" fill="#ffffff"/>',
-    ]
-
-
 def _ticks(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, 5)
 
 
-def render_history_figure(embedding: Embedding, profile, options: FigureOptions | None = None) -> str:
+def render_history_figure(embedding: Embedding, scores) -> str:
     """Static SVG of the embedded history as a projected 3-D scatter.
 
     Every point becomes a circle at the orthographic projection of
     (e1, e2, generation normalised to [0, 1]), coloured by exploration
     score; final-generation points are overdrawn with white crosses.
-    Three labelled axes (e1, e2, gen) frame the cloud.
+    Three labelled axes (e1, e2, gen) frame the cloud.  ``scores`` holds
+    one score per point.
     """
-    options = options or FigureOptions()
-    scores = _point_scores(embedding, profile)
-    if embedding.n_points == 0:
-        raise ContractError("cannot render an empty embedding")
+    scores = _point_scores(embedding, scores)
 
     gen_max = int(embedding.generation.max())
     z = embedding.generation / gen_max if gen_max > 0 else np.zeros(embedding.n_points)
@@ -457,16 +450,16 @@ def render_history_figure(embedding: Embedding, profile, options: FigureOptions 
     margin = 70.0
     span_u = max(u_hi - u_lo, 1e-12)
     span_v = max(v_hi - v_lo, 1e-12)
-    scale = min((options.width_px - 2 * margin) / span_u, (options.height_px - 2 * margin) / span_v)
+    scale = min((WIDTH_PX - 2 * margin) / span_u, (HEIGHT_PX - 2 * margin) / span_v)
 
     def place(u, v):
-        px = margin + (u - u_lo) * scale + ((options.width_px - 2 * margin) - span_u * scale) / 2
-        py = options.height_px - margin - (v - v_lo) * scale - (
-            (options.height_px - 2 * margin) - span_v * scale
+        px = margin + (u - u_lo) * scale + ((WIDTH_PX - 2 * margin) - span_u * scale) / 2
+        py = HEIGHT_PX - margin - (v - v_lo) * scale - (
+            (HEIGHT_PX - 2 * margin) - span_v * scale
         ) / 2
         return px, py
 
-    parts = _svg_open(options)
+    parts = [_SVG_OPEN]
     parts.append('<g stroke="#666666" stroke-width="1" fill="none">')
     for name, start, end, values, ticks_xyz in axes:
         x0, y0 = place(*_project(start[0], start[1], start[2]))
@@ -501,46 +494,40 @@ def render_history_figure(embedding: Embedding, profile, options: FigureOptions 
     return "\n".join(parts) + "\n"
 
 
-def render_hv_figure(trace: HypervolumeTrace, options: FigureOptions | None = None) -> str:
+def render_hv_figure(trace: HypervolumeTrace) -> str:
     """Static SVG line chart of hypervolume against generation."""
-    options = options or FigureOptions()
     n = len(trace)
-    if n == 0:
-        raise ContractError("cannot render an empty trace")
     margin = 70.0
-    plot_w = options.width_px - 2 * margin
-    plot_h = options.height_px - 2 * margin
+    plot_w = WIDTH_PX - 2 * margin
+    plot_h = HEIGHT_PX - 2 * margin
     lo, hi = float(trace.values.min()), float(trace.values.max())
     span = hi - lo
 
-    def place(t: int, value: float) -> tuple[float, float]:
+    def place(t: float, value: float) -> tuple[float, float]:
         px = margin + (plot_w * t / (n - 1) if n > 1 else plot_w / 2)
         frac = (value - lo) / span if span > 0 else 0.5
-        return px, options.height_px - margin - frac * plot_h
+        return px, HEIGHT_PX - margin - frac * plot_h
 
-    parts = _svg_open(options)
-    x_axis_y = options.height_px - margin
+    parts = [_SVG_OPEN]
+    x_axis_y = HEIGHT_PX - margin
     parts.append('<g stroke="#666666" stroke-width="1" fill="none">')
     parts.append(
         f'<line x1="{_px(margin)}" y1="{_px(x_axis_y)}" '
-        f'x2="{_px(options.width_px - margin)}" y2="{_px(x_axis_y)}"/>'
+        f'x2="{_px(WIDTH_PX - margin)}" y2="{_px(x_axis_y)}"/>'
     )
     parts.append(f'<line x1="{_px(margin)}" y1="{_px(margin)}" x2="{_px(margin)}" y2="{_px(x_axis_y)}"/>')
     parts.append("</g>")
     parts.append('<g font-family="sans-serif" font-size="11" fill="#333333">')
     for value in _ticks(0, n - 1):
-        px = margin + (plot_w * value / (n - 1) if n > 1 else plot_w / 2)
+        px = place(value, lo)[0]
         parts.append(f'<text x="{_px(px)}" y="{_px(x_axis_y + 16)}">{format(value, ".3g")}</text>')
     for value in _ticks(lo, hi):
-        frac = (value - lo) / span if span > 0 else 0.5
-        py = options.height_px - margin - frac * plot_h
+        py = place(0, value)[1]
         parts.append(f'<text x="{_px(margin - 50)}" y="{_px(py + 4)}">{format(value, ".4g")}</text>')
     parts.append(f'<text x="{_px(margin + plot_w / 2)}" y="{_px(x_axis_y + 34)}" font-size="13">gen</text>')
     parts.append(f'<text x="{_px(12)}" y="{_px(margin - 10)}" font-size="13">hypervolume</text>')
     parts.append("</g>")
-    coords = " ".join(
-        f"{_px(place(t, v)[0])},{_px(place(t, v)[1])}" for t, v in enumerate(trace.values)
-    )
+    coords = " ".join(",".join(map(_px, place(t, v))) for t, v in enumerate(trace.values))
     parts.append(f'<polyline points="{coords}" fill="none" stroke="#1f6f8b" stroke-width="1.5"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

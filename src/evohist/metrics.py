@@ -125,6 +125,13 @@ def _low_median(values: np.ndarray) -> float:
     return float(ordered[(ordered.size - 1) // 2])
 
 
+def _row_medians(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=1)`` bit for bit, without its NaN check, which imports ``numpy.ma``."""
+    ordered = np.sort(values, axis=1)
+    half = ordered.shape[1] // 2
+    return ordered[:, half] if ordered.shape[1] % 2 else (ordered[:, half - 1] + ordered[:, half]) / 2.0
+
+
 @dataclass(frozen=True)
 class ExplorationProfile:
     """Per-run exploration-exploitation summary.
@@ -164,7 +171,7 @@ def exploration_profile(history: RunHistory, space="search") -> ExplorationProfi
     """
     space = as_space(space)
     distances = np.array([nearest_neighbour_distances(rec, space) for rec in history.generations])
-    medians = np.median(distances, axis=1)
+    medians = _row_medians(distances)
     overall = _low_median(medians)
     if overall > 0:
         score = np.minimum(distances / (2.0 * overall), 1.0)

@@ -537,8 +537,11 @@ def test_non_utf8_input_is_an_error_line(tmp_path, capsys, argv, code):
     ("--embedding", 5, 4, "-1e999"),
     ("--hv-trace", 3, 1, "inf"),
     ("--hv-trace", 2, 1, "nan"),
+    ("--hv-trace", 3, 1, "-0.25"),
+    ("--embedding", 2, 5, "foo"),
+    ("--embedding", 4, 6, "2"),
 ], ids=["short-row", "bad-int", "bad-float", "huge-gen", "huge-negative-idx", "bad-hv", "gen-gap", "huge-hv-gen",
-        "inf-e1", "nan-e2", "overflow-score", "inf-hv", "nan-hv"])
+        "inf-e1", "nan-e2", "overflow-score", "inf-hv", "nan-hv", "negative-hv", "unknown-space", "stride-change"])
 def test_corrupt_csv_is_one_error_line(artifacts, tmp_path, flag, lineno, column, field):
     """A corrupt CSV row stops ``render`` with exit 1, one ``error:`` line naming it, no traceback."""
     _, _, embedding, trace = artifacts
@@ -558,6 +561,20 @@ def test_corrupt_csv_is_one_error_line(artifacts, tmp_path, flag, lineno, column
     [message] = result.stderr.splitlines()
     assert message.startswith(f"error: {bad}: line {lineno}:")
     assert not (tmp_path / "f.svg").exists()
+
+
+@pytest.mark.parametrize("argv", [["embed", "--max-points", "10"], ["hv", "--ref", "1,1"]], ids=["embed", "hv"])
+def test_options_checked_against_header_before_records(artifacts, tmp_path, capsys, monkeypatch, argv):
+    """The population and M are on line 1, so a cap or reference they rule out exits 2 before the records are read."""
+    def must_not_read(*args):
+        raise AssertionError(f"{argv[0]} read the generation records before checking its options")
+
+    monkeypatch.setattr("evohist.cli.read_history", must_not_read)
+    _, history, _, _ = artifacts
+    out = tmp_path / "out.csv"
+    assert main([argv[0], "--history", str(history), *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 class TestParser:
@@ -630,3 +647,16 @@ def test_cli_import_leaves_scipy_out():
         env=env, capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_embed_leaves_numpy_ma_out(artifacts, tmp_path):
+    """np.median's NaN check imports numpy.ma, a start-up cost every embed and pipeline process would pay."""
+    _, history, _, _ = artifacts
+    argv = ["embed", "--history", str(history), "--out", str(tmp_path / "e.csv")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", f"import evohist.cli, sys; code = evohist.cli.main({argv!r}); "
+         "print(code, 'numpy.ma' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "0 False"

@@ -12,8 +12,6 @@ from conftest import synthetic_history
 from evohist import (
     ContractError,
     Embedding,
-    ExplorationProfile,
-    FigureOptions,
     FormatVersionError,
     HypervolumeTrace,
     MalformedRecordError,
@@ -174,7 +172,7 @@ class TestEmbeddingFile:
         emb = embed_history(short_run, "objective", max_points=200)
         profile = exploration_profile(short_run, "objective")
         path = tmp_path / "embedding.csv"
-        write_embedding(emb, profile, path)
+        write_embedding(emb, profile.score[emb.generation, emb.member_index], path)
         back, scores = read_embedding(path)
         assert back.space is emb.space
         assert back.stride == emb.stride
@@ -203,29 +201,6 @@ class TestEmbeddingFile:
                         np.zeros(3, dtype=int), np.arange(3), stride=1)
         with pytest.raises(ContractError):
             write_embedding(emb, np.zeros(2), tmp_path / "e.csv")
-
-    def test_profile_must_cover_sampled_generations(self, tmp_path, short_run):
-        emb = embed_history(short_run, "search", max_points=200)
-        truncated = exploration_profile(
-            synthetic_history([short_run.generations[0].x], [short_run.generations[0].y]))
-        with pytest.raises(ContractError):
-            write_embedding(emb, truncated, tmp_path / "e.csv")
-
-    @pytest.mark.parametrize("generation, member", [
-        (2, 0),   # past the last generation
-        (0, 2),   # past the last member
-        (-1, 0),  # would wrap to the last generation
-        (0, -1),  # would wrap to the last member
-    ])
-    def test_profile_must_cover_every_index(self, tmp_path, generation, member):
-        profile = exploration_profile(tiny_history())  # 2 generations x 2 members
-        emb = Embedding("search", np.zeros(2), np.zeros(2),
-                        np.array([0, generation]), np.array([1, member]), stride=1)
-        with pytest.raises(ContractError, match="does not cover"):
-            write_embedding(emb, profile, tmp_path / "e.csv")
-        with pytest.raises(ContractError, match="does not cover"):
-            render_history_figure(emb, profile)
-        assert not (tmp_path / "e.csv").exists()
 
     def test_read_validation(self, tmp_path):
         bad_header = tmp_path / "bad.csv"
@@ -334,12 +309,6 @@ class TestHistoryFigure:
         texts = [e.text for e in elements(svg, "text")]
         assert "e1" in texts and "e2" in texts and "gen" in texts
 
-    def test_custom_canvas(self):
-        emb, scores = self.make_embedding()
-        svg = render_history_figure(emb, scores, FigureOptions(400, 300))
-        root = ET.fromstring(svg)
-        assert root.get("viewBox") == "0 0 400 300"
-
     def test_deterministic(self):
         emb, scores = self.make_embedding()
         assert render_history_figure(emb, scores) == render_history_figure(emb, scores)
@@ -357,10 +326,6 @@ class TestHistoryFigure:
         svg = render_history_figure(emb, np.array([0.5, 0.5]))
         # everything is final generation, so every circle gets a cross
         assert len([e for e in elements(svg, "path") if e.get("class") == "final-cross"]) == 2
-
-    def test_bad_figure_options(self):
-        with pytest.raises(ContractError):
-            FigureOptions(0, 100)
 
 
 class TestHvFigure:
@@ -505,7 +470,8 @@ class TestAtomicWrites:
     def test_all_writers_leave_no_temporary_file(self, tmp_path, short_run):
         embedding = embed_history(short_run, "search")
         profile = exploration_profile(short_run, "search")
-        write_embedding(embedding, profile, tmp_path / "embedding.csv")
+        write_embedding(embedding, profile.score[embedding.generation, embedding.member_index],
+                        tmp_path / "embedding.csv")
         write_hv_trace(hypervolume_trace(short_run), tmp_path / "hv.csv")
         with open_atomic(tmp_path / "figure.svg") as fh:
             fh.write("<svg/>\n")
@@ -524,14 +490,7 @@ def per_point_colour(score):
     return COLOUR_ANCHORS[-1][1]
 
 
-def per_point_scores(embedding, profile):
-    if isinstance(profile, ExplorationProfile):
-        return np.array([profile.score[g, i] for g, i in zip(embedding.generation, embedding.member_index)])
-    return np.asarray(profile, dtype=float)
-
-
-def per_point_embedding_csv(embedding, profile):
-    scores = per_point_scores(embedding, profile)
+def per_point_embedding_csv(embedding, scores):
     order = np.lexsort((embedding.member_index, embedding.generation))
     lines = [emit.EMBEDDING_CSV_HEADER]
     for i in order:
@@ -543,9 +502,9 @@ def per_point_embedding_csv(embedding, profile):
     return "\n".join(lines) + "\n"
 
 
-def per_point_history_figure(embedding, profile, options):
+def per_point_history_figure(embedding, scores):
     _px, _project, _ticks = emit._px, emit._project, emit._ticks
-    scores = per_point_scores(embedding, profile)
+    width_px, height_px = 900, 700
     gen_max = int(embedding.generation.max())
     z = embedding.generation / gen_max if gen_max > 0 else np.zeros(embedding.n_points)
     u_pts, v_pts = _project(embedding.e1, embedding.e2, z)
@@ -572,16 +531,21 @@ def per_point_history_figure(embedding, profile, options):
     margin = 70.0
     span_u = max(u_hi - u_lo, 1e-12)
     span_v = max(v_hi - v_lo, 1e-12)
-    scale = min((options.width_px - 2 * margin) / span_u, (options.height_px - 2 * margin) / span_v)
+    scale = min((width_px - 2 * margin) / span_u, (height_px - 2 * margin) / span_v)
 
     def place(u, v):
-        px = margin + (u - u_lo) * scale + ((options.width_px - 2 * margin) - span_u * scale) / 2
-        py = options.height_px - margin - (v - v_lo) * scale - (
-            (options.height_px - 2 * margin) - span_v * scale
+        px = margin + (u - u_lo) * scale + ((width_px - 2 * margin) - span_u * scale) / 2
+        py = height_px - margin - (v - v_lo) * scale - (
+            (height_px - 2 * margin) - span_v * scale
         ) / 2
         return px, py
 
-    parts = emit._svg_open(options)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width_px}" height="{height_px}" '
+        f'viewBox="0 0 {width_px} {height_px}">',
+        f'<rect x="0" y="0" width="{width_px}" height="{height_px}" fill="#ffffff"/>',
+    ]
     parts.append('<g stroke="#666666" stroke-width="1" fill="none">')
     for name, start, end, values, ticks_xyz in axes:
         x0, y0 = place(*_project(start[0], start[1], start[2]))
@@ -631,7 +595,7 @@ coordinates = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, 1
 
 @st.composite
 def embeddings_with_scores(draw):
-    """A shuffled embedding of whole generations, with its scores as a profile or as an array."""
+    """A shuffled embedding of whole generations and one score per point, some gathered from a profile's array."""
     n_gen, pop = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     n = n_gen * pop
     order = np.array(draw(st.permutations(range(n))))
@@ -645,11 +609,8 @@ def embeddings_with_scores(draw):
     )
     if draw(st.booleans()):
         score = np.array(draw(st.lists(unit_scores, min_size=n, max_size=n))).reshape(n_gen, pop)
-        return embedding, ExplorationProfile("search", np.zeros(n_gen), 0.0, score)
+        return embedding, score[embedding.generation, embedding.member_index]
     return embedding, np.array(draw(st.lists(ramp_scores, min_size=n, max_size=n)))
-
-
-figure_options = st.builds(FigureOptions, st.integers(1, 2000), st.integers(1, 2000))
 
 
 class TestArrayAtOnceOracles:
@@ -675,34 +636,30 @@ class TestArrayAtOnceOracles:
         write_embedding(embedding, scores, path)
         assert path.read_bytes() == per_point_embedding_csv(embedding, scores).encode()
 
-    @given(embeddings_with_scores(), figure_options)
+    @given(embeddings_with_scores())
     @settings(max_examples=150, deadline=None)
-    def test_history_figure_matches_per_point(self, case, options):
+    def test_history_figure_matches_per_point(self, case):
         embedding, scores = case
-        assert render_history_figure(embedding, scores, options) == per_point_history_figure(
-            embedding, scores, options)
+        assert render_history_figure(embedding, scores) == per_point_history_figure(embedding, scores)
 
     @pytest.mark.parametrize("n_gen, pop", [(1, 1), (1, 7)])
-    @pytest.mark.parametrize("options", [FigureOptions(), FigureOptions(400, 300), FigureOptions(1, 1)])
-    def test_one_point_and_one_generation(self, tmp_path, n_gen, pop, options):
+    def test_one_point_and_one_generation(self, tmp_path, n_gen, pop):
         n = n_gen * pop
         embedding = Embedding("objective", np.linspace(-1, 2, n), np.linspace(3, 0, n),
                               np.zeros(n, dtype=int), np.arange(n), stride=3)
-        profile = ExplorationProfile("search", np.zeros(1), 0.0, np.linspace(0, 1, n).reshape(1, n))
-        for scores in (profile, np.linspace(0, 1, n)):
-            assert render_history_figure(embedding, scores, options) == per_point_history_figure(
-                embedding, scores, options)
-            write_embedding(embedding, scores, tmp_path / "e.csv")
-            assert (tmp_path / "e.csv").read_bytes() == per_point_embedding_csv(embedding, scores).encode()
+        scores = np.linspace(0, 1, n)
+        assert render_history_figure(embedding, scores) == per_point_history_figure(embedding, scores)
+        write_embedding(embedding, scores, tmp_path / "e.csv")
+        assert (tmp_path / "e.csv").read_bytes() == per_point_embedding_csv(embedding, scores).encode()
 
     def test_real_run_matches_per_point(self, tmp_path, short_run):
         profile = exploration_profile(short_run, "search")
         for space in ("search", "objective"):
             embedding = embed_history(short_run, space, max_points=200)
-            assert render_history_figure(embedding, profile) == per_point_history_figure(
-                embedding, profile, FigureOptions())
-            write_embedding(embedding, profile, tmp_path / "e.csv")
-            assert (tmp_path / "e.csv").read_bytes() == per_point_embedding_csv(embedding, profile).encode()
+            scores = profile.score[embedding.generation, embedding.member_index]
+            assert render_history_figure(embedding, scores) == per_point_history_figure(embedding, scores)
+            write_embedding(embedding, scores, tmp_path / "e.csv")
+            assert (tmp_path / "e.csv").read_bytes() == per_point_embedding_csv(embedding, scores).encode()
 
 
 def finite(text):
@@ -716,15 +673,16 @@ def finite(text):
 def row_by_row_read_embedding(path):
     """read_embedding as it parsed one row at a time, kept as the column reader's reference.
 
-    Non-finite reals are refused on their line, as the column reader refuses them.
+    Non-finite reals are refused on their line, and so are an unknown space
+    on line 2 and a space or stride that differs from line 2's, as the
+    column reader refuses them.
     """
     lines = emit._read_lines(path)
     if not lines or lines[0] != emit.EMBEDDING_CSV_HEADER:
         raise MalformedRecordError(f"{path}: line 1: expected header {emit.EMBEDDING_CSV_HEADER!r}")
     if len(lines) < 2:
         raise MalformedRecordError(f"{path}: line 2: embedding has no points")
-    gens, idxs, e1s, e2s, scores = [], [], [], [], []
-    spaces, strides = set(), set()
+    gens, idxs, e1s, e2s, scores, spaces, strides = [], [], [], [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 7:
@@ -735,19 +693,24 @@ def row_by_row_read_embedding(path):
             e1s.append(finite(parts[2]))
             e2s.append(finite(parts[3]))
             scores.append(finite(parts[4]))
-            spaces.add(parts[5])
-            strides.add(int(parts[6]))
+            spaces.append(parts[5])
+            strides.append(int(parts[6]))
         except ValueError as exc:
             raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
-    if len(spaces) != 1 or len(strides) != 1:
-        raise MalformedRecordError(f"{path}: space/stride columns must be constant")
+    try:
+        space = as_space(spaces[0])
+    except ContractError as exc:
+        raise MalformedRecordError(f"{path}: line 2: {exc}") from None
+    for lineno, row in enumerate(zip(spaces, strides), start=2):
+        if row != (spaces[0], strides[0]):
+            raise MalformedRecordError(f"{path}: line {lineno}: space/stride columns must be constant")
     embedding = Embedding(
-        space=as_space(spaces.pop()),
+        space=space,
         e1=np.array(e1s),
         e2=np.array(e2s),
         generation=np.array(gens, dtype=np.int64),
         member_index=np.array(idxs, dtype=np.int64),
-        stride=strides.pop(),
+        stride=strides[0],
     )
     return embedding, np.array(scores)
 
@@ -763,7 +726,7 @@ def row_by_row_write_hv_trace(trace, path):
 
 
 def row_by_row_read_hv_trace(path):
-    """read_hv_trace as it parsed one row at a time, refusing non-finite values on their line."""
+    """read_hv_trace as it parsed one row at a time, refusing non-finite and then negative values on their line."""
     lines = emit._read_lines(path)
     if not lines or lines[0] != emit.HV_CSV_HEADER:
         raise MalformedRecordError(f"{path}: line 1: expected header {emit.HV_CSV_HEADER!r}")
@@ -778,6 +741,9 @@ def row_by_row_read_hv_trace(path):
             raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
     if not values:
         raise MalformedRecordError(f"{path}: line 2: trace has no values")
+    for lineno, value in enumerate(values, start=2):
+        if value < 0:
+            raise MalformedRecordError(f"{path}: line {lineno}: hv {value} is negative")
     return HypervolumeTrace(reference_point=None, values=np.array(values))
 
 

@@ -84,8 +84,9 @@ def artifacts(tmp_path_factory):
         profile = exploration_profile(history, "search")
         for space in ("search", "objective"):
             embedding = embed_history(history, space)
-            write_embedding(embedding, profile, folder / f"embedding.{space}.csv")
-            (folder / f"figure.{space}.svg").write_bytes(render_history_figure(embedding, profile).encode())
+            scores = profile.score[embedding.generation, embedding.member_index]
+            write_embedding(embedding, scores, folder / f"embedding.{space}.csv")
+            (folder / f"figure.{space}.svg").write_bytes(render_history_figure(embedding, scores).encode())
         trace = hypervolume_trace(history)
         write_hv_trace(trace, folder / "hv.csv")
         (folder / "figure.hv.svg").write_bytes(render_hv_figure(trace).encode())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist, squareform
 
 from conftest import synthetic_history
@@ -18,7 +19,7 @@ from evohist import (
     nearest_neighbour_distances,
 )
 from evohist import metrics
-from evohist.metrics import _staircase_2d, auto_reference
+from evohist.metrics import _row_medians, _staircase_2d, auto_reference
 
 
 def _nd_filter(points: np.ndarray) -> np.ndarray:
@@ -225,6 +226,19 @@ class TestExplorationProfile:
         assert profile.overall_median == pytest.approx(1.0)
         assert profile.score[1, 0] == pytest.approx(0.5)
         assert profile.score[0, 1] == pytest.approx(1.0)
+
+    @given(st.integers(1, 4).flatmap(lambda rows: st.integers(2, 300).flatmap(lambda pop: arrays(
+        float, (rows, pop),
+        elements=st.one_of(st.sampled_from([0.0, 0.0, 0.25, 1.0, 5e-324, 1e-300, 1.7976931348623157e308]),
+                           st.floats(0.0, 1e6))))))
+    @settings(max_examples=200, deadline=None)
+    def test_row_medians_bitwise_equal_to_numpy(self, distances):
+        """Each generation's median distance is np.median's, bit for bit, ties, zeros and odd or even sizes alike.
+
+        Two middle values near the largest float overflow to inf in both, and both warn.
+        """
+        with np.errstate(over="ignore"):
+            assert _row_medians(distances).tobytes() == np.median(distances, axis=1).tobytes()
 
     def test_profile_validation(self):
         with pytest.raises(ContractError):

@@ -1,9 +1,10 @@
-"""Every exported name resolves, the benchmark's checker still imports, and README lists every config key.
+"""Every exported name resolves, the benchmark's checker still imports, and README matches the code.
 
 A name left in an ``__all__`` after its definition is deleted, or a
 deletion the checker in ``perfbench/`` still imports, fails here rather
 than in a later star-import or benchmark run.  So does a config key
-added to the CLI without a line in README.
+added to the CLI without a line in README, or a name README's "Library
+surface" still lists after it left the package.
 """
 
 import importlib
@@ -37,3 +38,10 @@ def test_benchmark_checker_imports():
 def test_readme_lists_every_config_key_in_order():
     [keys] = re.findall(r"Recognised keys: `([^`]*)`", (ROOT / "README.md").read_text())
     assert keys.split() == list(cli._OPTIONS)
+
+
+def test_readme_library_surface_names_are_exported():
+    section = (ROOT / "README.md").read_text().split("## Library surface\n", 1)[1]
+    names = re.findall(r"`([^`]*)`", section.strip().split("\n\n", 1)[0])
+    assert names
+    assert [name for name in names if name not in evohist.__all__] == []
