@@ -343,16 +343,27 @@ def write_embedding(embedding: Embedding, scores, path) -> None:
 
 
 def read_embedding(path) -> tuple[Embedding, np.ndarray]:
-    """Parse an embedding CSV back into (Embedding, score array); every row has line 2's space and stride."""
+    """Parse an embedding CSV back into (Embedding, score array).
+
+    Every row is parsed first; then line 2's space and positive stride are
+    checked, every later row must repeat them, and no ``gen`` or ``idx`` may
+    be negative.
+    """
     gen, idx, e1, e2, scores, spaces, strides = _read_table(
         path, EMBEDDING_CSV_HEADER, (int, int, float, float, float, str, int))
     try:
         space = as_space(spaces[0])
     except ContractError as exc:
         raise MalformedRecordError(f"{path}: line 2: {exc}") from None
+    if strides[0] < 1:
+        raise MalformedRecordError(f"{path}: line 2: stride {strides[0]} must be positive")
     odd = np.flatnonzero((np.asarray(spaces) != spaces[0]) | (strides != strides[0]))
     if odd.size:
         raise MalformedRecordError(f"{path}: line {odd[0] + 2}: space/stride differ from line 2's, must be constant")
+    negative = np.flatnonzero((gen < 0) | (idx < 0))
+    if negative.size:
+        k = negative[0]
+        raise MalformedRecordError(f"{path}: line {k + 2}: gen {gen[k]}, idx {idx[k]} must be non-negative")
     return Embedding(space, e1, e2, gen, idx, stride=int(strides[0])), scores
 
 

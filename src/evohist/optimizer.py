@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -106,15 +107,13 @@ class ReferenceDirectionSet:
 
 
 def _objective_rows(population) -> np.ndarray:
-    """Coerce a population (a matrix or a sequence of vectors) to an (n, M) array."""
-    if isinstance(population, np.ndarray) and population.ndim == 2:
-        return np.asarray(population, dtype=float)
-    rows = [np.asarray(p, dtype=float) for p in population]
-    if not rows:
-        raise ContractError("population must be non-empty")
-    y = np.array(rows, dtype=float)
-    if y.ndim != 2:
-        raise ContractError("population members must share one objective count")
+    """An (n, M) float matrix of objective vectors, from anything ``np.asarray`` makes one of."""
+    try:
+        y = np.asarray(population, dtype=float)
+    except ValueError:
+        y = None
+    if y is None or y.ndim != 2:
+        raise ContractError("population must be an (n, M) matrix of objective vectors")
     return y
 
 
@@ -268,17 +267,11 @@ def das_dennis(M: int, p: int) -> ReferenceDirectionSet:
     count = comb(M + p - 1, p)
     if count > _MAX_DIRECTIONS:
         raise ConfigError(f"M={M}, p={p} would generate {count} directions (limit {_MAX_DIRECTIONS})")
-    points: list[list[int]] = []
-
-    def descend(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            points.append(prefix + [remaining])
-            return
-        for c in range(remaining + 1):
-            descend(prefix + [c], remaining - c, slots - 1)
-
-    descend([], p, M)
-    return ReferenceDirectionSet(directions=np.array(points, dtype=float) / p, partitions=p)
+    # Stars and bars: M - 1 bar positions among p + M - 1 slots, in ascending
+    # order, split p stars into M counts, in ascending lexicographic order.
+    bars = np.array(list(combinations(range(p + M - 1), M - 1)))
+    counts = np.diff(bars, axis=1, prepend=-1, append=p + M - 1) - 1
+    return ReferenceDirectionSet(directions=counts / p, partitions=p)
 
 
 def default_partitions(M: int) -> int:
@@ -298,6 +291,20 @@ def default_population_size(M: int) -> int:
     return count + (-count % 4)
 
 
+def _fill(y: np.ndarray, target_size: int) -> tuple[list[int], list[int]]:
+    """Whole fronts in rank order while they fit, and the front that overflows ([] if none does)."""
+    if target_size < 1 or target_size > y.shape[0]:
+        raise ContractError(f"cannot select {target_size} from {y.shape[0]} candidates")
+    selected: list[int] = []
+    for front in fast_nondominated_sort(y):
+        if len(selected) + len(front) > target_size:
+            return selected, front
+        selected.extend(front)
+        if len(selected) == target_size:
+            break
+    return selected, []
+
+
 def nsga2_select(population, target_size: int) -> list[int]:
     """Elitist NSGA-II selection: indices of the ``target_size`` survivors.
 
@@ -305,20 +312,10 @@ def nsga2_select(population, target_size: int) -> list[int]:
     by descending crowding distance, ties broken by lower original index.
     """
     y = _objective_rows(population)
-    if target_size < 1 or target_size > y.shape[0]:
-        raise ContractError(f"cannot select {target_size} from {y.shape[0]} candidates")
-    selected: list[int] = []
-    for front in fast_nondominated_sort(y):
-        room = target_size - len(selected)
-        if len(front) <= room:
-            selected.extend(front)
-            if len(selected) == target_size:
-                break
-            continue
-        dist = crowding_distance(y[front])
-        order = sorted(range(len(front)), key=lambda i: (-dist[i], front[i]))
-        selected.extend(front[i] for i in order[:room])
-        break
+    selected, front = _fill(y, target_size)
+    if front:
+        order = np.lexsort((front, -crowding_distance(y[front])))
+        selected.extend(front[i] for i in order[: target_size - len(selected)])
     return selected
 
 
@@ -375,20 +372,9 @@ def nsga3_select(population, target_size: int, directions: ReferenceDirectionSet
         raise ContractError("nsga3_select needs at least one reference direction")
     if y.shape[1] != directions.directions.shape[1]:
         raise ContractError("reference directions and objectives disagree on M")
-    if target_size < 1 or target_size > y.shape[0]:
-        raise ContractError(f"cannot select {target_size} from {y.shape[0]} candidates")
-
-    fronts = fast_nondominated_sort(y)
-    selected: list[int] = []
-    last: list[int] = []
-    for front in fronts:
-        if len(selected) + len(front) <= target_size:
-            selected.extend(front)
-            if len(selected) == target_size:
-                return selected
-        else:
-            last = front
-            break
+    selected, last = _fill(y, target_size)
+    if not last:
+        return selected
 
     considered = selected + last
     sub = y[considered]

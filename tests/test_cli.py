@@ -540,8 +540,12 @@ def test_non_utf8_input_is_an_error_line(tmp_path, capsys, argv, code):
     ("--hv-trace", 3, 1, "-0.25"),
     ("--embedding", 2, 5, "foo"),
     ("--embedding", 4, 6, "2"),
+    ("--embedding", 2, 6, "0"),
+    ("--embedding", 3, 0, "-3"),
+    ("--embedding", 5, 1, "-7"),
 ], ids=["short-row", "bad-int", "bad-float", "huge-gen", "huge-negative-idx", "bad-hv", "gen-gap", "huge-hv-gen",
-        "inf-e1", "nan-e2", "overflow-score", "inf-hv", "nan-hv", "negative-hv", "unknown-space", "stride-change"])
+        "inf-e1", "nan-e2", "overflow-score", "inf-hv", "nan-hv", "negative-hv", "unknown-space", "stride-change",
+        "zero-stride", "negative-gen", "negative-idx"])
 def test_corrupt_csv_is_one_error_line(artifacts, tmp_path, flag, lineno, column, field):
     """A corrupt CSV row stops ``render`` with exit 1, one ``error:`` line naming it, no traceback."""
     _, _, embedding, trace = artifacts
@@ -629,14 +633,35 @@ class TestTracedStages:
             "render": ["render", "--embedding", str(embedding), "--hv-trace", str(trace),
                        "--out", str(tmp_path / "f.svg")],
         }[command]
+        spans = self.traced_spans(tmp_path, argv)
+        main_ids = {span_id for span_id, _, name, _, _ in spans if name == "cli.main"}
+        assert len(main_ids) == 1
+        assert Counter(name for _, parent, name, _, _ in spans if parent in main_ids) == self.STAGES[command]
+
+    @pytest.mark.parametrize("algorithm", ["nsga2", "nsga3"])
+    def test_selection_spans_under_run(self, tmp_path, algorithm):
+        """Every generation after the first selects once, and sorts once inside that, through the wrapped names.
+
+        Otherwise ``optimizer.select_s`` and ``offspring_kept_ratio`` would read 0 in the benchmark.
+        """
+        history = tmp_path / "h.jsonl"
+        spans = self.traced_spans(tmp_path, ["run", "--problem", "dtlz2", *RUN_FLAGS, "--algorithm", algorithm,
+                                             "--out", str(history)])
+        generations = len(history.read_text().splitlines()) - 1
+        [run_id] = [span_id for span_id, _, name, _, _ in spans if name == "optimizer.run"]
+        selects = [(span_id, parent) for span_id, parent, name, _, _ in spans if name == "optimizer.select"]
+        assert generations > 1 and [parent for _, parent in selects] == [run_id] * (generations - 1)
+        sorts = Counter(parent for _, parent, name, _, _ in spans if name == "optimizer.fast_nondominated_sort")
+        assert [sorts[span_id] for span_id, _ in selects] == [1] * len(selects)
+
+    @staticmethod
+    def traced_spans(tmp_path, argv):
+        """The spans ``perfbench/traced.py`` records for one CLI command, run in a subprocess."""
         spans_path = tmp_path / "spans.json"
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         subprocess.run([sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans_path), "--", *argv],
                        env=env, capture_output=True, text=True, check=True)
-        spans = json.loads(spans_path.read_text())["spans"]
-        main_ids = {span_id for span_id, _, name, _, _ in spans if name == "cli.main"}
-        assert len(main_ids) == 1
-        assert Counter(name for _, parent, name, _, _ in spans if parent in main_ids) == self.STAGES[command]
+        return json.loads(spans_path.read_text())["spans"]
 
 
 def test_cli_import_leaves_scipy_out():

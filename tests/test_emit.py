@@ -674,8 +674,8 @@ def row_by_row_read_embedding(path):
     """read_embedding as it parsed one row at a time, kept as the column reader's reference.
 
     Non-finite reals are refused on their line, and so are an unknown space
-    on line 2 and a space or stride that differs from line 2's, as the
-    column reader refuses them.
+    or a stride below 1 on line 2, a space or stride that differs from line
+    2's, and a negative gen or idx, as the column reader refuses them.
     """
     lines = emit._read_lines(path)
     if not lines or lines[0] != emit.EMBEDDING_CSV_HEADER:
@@ -701,9 +701,14 @@ def row_by_row_read_embedding(path):
         space = as_space(spaces[0])
     except ContractError as exc:
         raise MalformedRecordError(f"{path}: line 2: {exc}") from None
+    if strides[0] < 1:
+        raise MalformedRecordError(f"{path}: line 2: stride must be positive")
     for lineno, row in enumerate(zip(spaces, strides), start=2):
         if row != (spaces[0], strides[0]):
             raise MalformedRecordError(f"{path}: line {lineno}: space/stride columns must be constant")
+    for lineno, (g, i) in enumerate(zip(gens, idxs), start=2):
+        if g < 0 or i < 0:
+            raise MalformedRecordError(f"{path}: line {lineno}: gen and idx must be non-negative")
     embedding = Embedding(
         space=space,
         e1=np.array(e1s),
@@ -748,6 +753,7 @@ def row_by_row_read_hv_trace(path):
 
 
 INT64 = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([0, 1, -1, 2**63 - 1, -2**63]))
+NON_NEGATIVE_INT64 = st.one_of(st.integers(0, 2**63 - 1), st.sampled_from([0, 1, 2**63 - 1]))
 # Spellings Python's int() and float() accept: padding, signs, digit groups, exponents, case.
 INT_SPELLINGS = [str, lambda n: f" {n}\t", lambda n: format(n, "+05d"), lambda n: format(n, "_d")]
 FLOAT_SPELLINGS = [lambda v: format(v, ".17g"), repr, lambda v: f" {v!r} ", lambda v: format(v, ".17E"),
@@ -761,6 +767,7 @@ BAD_TEXTS = {
     "bad int": (int, ["", "x", "1.5", "1e3", "0x10", "nan", "--1", "1 2"]),
     "bad float": (float, ["", "one", "1.2.3", "0x1p3", "1e", "--1", "in f"]),
     "huge int": (int, ["9223372036854775808", "-9223372036854775809", "99999999999999999999"]),
+    "not positive": (int, ["0", "-0", "-1", " -7\t", "-9223372036854775808"]),
     "non-finite": (float, ["nan", "-NaN", "inf", "-Infinity", " +inf ", "1e999", "-1e400"]),
 }
 EMBEDDING_KINDS = (int, int, float, float, float, str, int)
@@ -778,7 +785,8 @@ hv_float_texts = spelled(hv_values, FLOAT_SPELLINGS)
 
 @st.composite
 def corrupted(draw, rows, kinds, faults):
-    """``rows`` with ``faults`` (short row, extra field, bad int, bad float, huge int or non-finite real) on drawn rows."""
+    """``rows`` with ``faults`` (short row, extra field, bad int, bad float, huge int, an int below 1 or a
+    non-finite real) on drawn rows."""
     rows = [list(row) for row in rows]
     for fault in faults:
         row = rows[draw(st.integers(0, len(rows) - 1))]
@@ -795,7 +803,8 @@ def corrupted(draw, rows, kinds, faults):
     return rows
 
 
-embedding_fields = st.tuples(int_texts, int_texts, float_texts, float_texts, float_texts)
+natural_texts = spelled(NON_NEGATIVE_INT64, INT_SPELLINGS)
+embedding_fields = st.tuples(natural_texts, natural_texts, float_texts, float_texts, float_texts)
 
 
 @st.composite
@@ -834,7 +843,7 @@ class TestTableOracles:
 
     # No "huge int": there the row-by-row reader let numpy's OverflowError escape;
     # test_first_bad_line_across_columns and test_cli's corrupt-CSV cases cover it.
-    @given(embedding_files(["short", "extra", "bad int", "bad float", "non-finite"]))
+    @given(embedding_files(["short", "extra", "bad int", "bad float", "non-finite", "not positive"]))
     @settings(max_examples=300, deadline=None)
     def test_embedding_reader_matches_row_by_row(self, table_dir, text):
         path = table_dir / "e.csv"
@@ -879,9 +888,13 @@ class TestTableOracles:
         (read_embedding, emit.EMBEDDING_CSV_HEADER, {3: (2, "one"), 5: (0, "x")}, 3),
         (read_embedding, emit.EMBEDDING_CSV_HEADER, {3: (6, "1.0"), 4: (4, "nan?")}, 3),
         (read_embedding, emit.EMBEDDING_CSV_HEADER, {4: (1, "9" * 20), 5: (3, "")}, 4),
+        (read_embedding, emit.EMBEDDING_CSV_HEADER, {lineno: (6, "0") for lineno in range(2, 7)}, 2),
+        (read_embedding, emit.EMBEDDING_CSV_HEADER, {4: (0, "-3"), 3: (6, "2")}, 3),
+        (read_embedding, emit.EMBEDDING_CSV_HEADER, {6: (1, "-7"), 5: (0, "-3")}, 5),
         (read_hv_trace, emit.HV_CSV_HEADER, {2: (1, "x"), 3: (0, "y")}, 2),
         (read_hv_trace, emit.HV_CSV_HEADER, {4: (1, "x"), 3: (0, "y")}, 3),
-    ], ids=["e1-before-gen", "stride-before-score", "huge-idx-before-e2", "hv-before-gen", "gen-before-hv"])
+    ], ids=["e1-before-gen", "stride-before-score", "huge-idx-before-e2", "zero-stride-everywhere",
+            "stride-change-before-negative-gen", "first-negative-line", "hv-before-gen", "gen-before-hv"])
     def test_first_bad_line_across_columns(self, tmp_path, read, header, faults, line):
         row = {emit.EMBEDDING_CSV_HEADER: "0,0,1.5,2.5,0.5,search,1", emit.HV_CSV_HEADER: "{t},0.5"}[header]
         rows = [row.format(t=t).split(",") for t in range(5)]

@@ -1,3 +1,5 @@
+from bisect import insort
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -50,6 +52,21 @@ def peel_off_fronts(points):
     return fronts
 
 
+def recursive_das_dennis(M, p):
+    """das_dennis's directions as the original recursive enumeration built them, kept as an oracle."""
+    points = []
+
+    def descend(prefix, remaining, slots):
+        if slots == 1:
+            points.append(prefix + [remaining])
+            return
+        for c in range(remaining + 1):
+            descend(prefix + [c], remaining - c, slots - 1)
+
+    descend([], p, M)
+    return np.array(points, dtype=float) / p
+
+
 class TestSort:
     def test_chain_example(self):
         pts = [(0, 1), (1, 0), (1, 1), (2, 2)]
@@ -77,6 +94,18 @@ class TestSort:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             fast_nondominated_sort(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("population", [[[0.0, 1.0], [1.0]], [0.0, 1.0, 2.0], np.zeros((2, 2, 2))],
+                             ids=["ragged", "1-D", "3-D"])
+    @pytest.mark.parametrize("take", [
+        fast_nondominated_sort,
+        crowding_distance,
+        lambda y: nsga2_select(y, 1),
+        lambda y: nsga3_select(y, 1, das_dennis(2, 1), rng=np.random.default_rng(0)),
+    ], ids=["sort", "crowding", "nsga2", "nsga3"])
+    def test_non_matrix_population_rejected(self, take, population):
+        with pytest.raises(ContractError):
+            take(population)
 
 
 class TestCrowding:
@@ -211,6 +240,12 @@ class TestReferenceDirections:
         dirs = das_dennis(4, 5).directions
         assert np.allclose(dirs.sum(axis=1), 1.0)
         assert (dirs >= 0).all()
+
+    @pytest.mark.parametrize("M", range(2, 9))
+    def test_lattice_bytes_match_recursive_enumeration(self, M):
+        for p in range(1, 13):
+            got, expected = das_dennis(M, p).directions, recursive_das_dennis(M, p)
+            assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
 
     def test_direction_count_limit(self):
         with pytest.raises(ConfigError):
@@ -504,4 +539,98 @@ class TestBatchedOperatorsMatchPerPairOracle:
         expected = reference_niching_select(y, target, directions, oracle_rng)
         rng = np.random.default_rng(seed + 1)
         assert nsga3_select(y, target, directions, rng=rng) == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def own_fill_nsga2_select(y, target_size):
+    """nsga2_select with its own front-fill loop and a keyed-sort cut, kept as an oracle."""
+    selected = []
+    for front in fast_nondominated_sort(y):
+        room = target_size - len(selected)
+        if len(front) <= room:
+            selected.extend(front)
+            if len(selected) == target_size:
+                break
+            continue
+        dist = crowding_distance(y[front])
+        order = sorted(range(len(front)), key=lambda i: (-dist[i], front[i]))
+        selected.extend(front[i] for i in order[:room])
+        break
+    return selected
+
+
+def own_fill_nsga3_select(y, target_size, directions, rng):
+    """nsga3_select with its own front-fill loop, kept as an oracle."""
+    selected, last = [], []
+    for front in fast_nondominated_sort(y):
+        if len(selected) + len(front) <= target_size:
+            selected.extend(front)
+            if len(selected) == target_size:
+                return selected
+        else:
+            last = front
+            break
+    considered = selected + last
+    sub = y[considered]
+    normalised = _normalise(sub - sub.min(axis=0))
+    dirs = directions.directions
+    unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    dist = normalised @ unit.T
+    dist *= dist
+    np.subtract(np.sum(normalised * normalised, axis=1)[:, None], dist, out=dist)
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    assoc = np.argmin(dist, axis=1)
+    assoc_dist = dist[np.arange(len(considered)), assoc].tolist()
+    niche = np.zeros(len(directions), dtype=np.int64)
+    np.add.at(niche, assoc[: len(selected)], 1)
+    pools = {}
+    for pos in range(len(selected), len(considered)):
+        pools.setdefault(int(assoc[pos]), []).append(pos)
+    levels = {}
+    for j in sorted(pools):
+        levels.setdefault(int(niche[j]), []).append(j)
+    while len(selected) < target_size:
+        count = min(levels)
+        lowest = levels[count]
+        j = lowest.pop(int(rng.integers(len(lowest))) if len(lowest) > 1 else 0)
+        if not lowest:
+            del levels[count]
+        pool = pools[j]
+        if count == 0:
+            pos = min(pool, key=lambda p: (assoc_dist[p], p))
+            pool.remove(pos)
+        else:
+            pos = pool.pop(int(rng.integers(len(pool))))
+        selected.append(considered[pos])
+        if pool:
+            insort(levels.setdefault(count + 1, []), j)
+    return selected
+
+
+class TestSelectionMatchesOwnFillLoops:
+    """Both selections, filling fronts through one shared loop, match copies that each kept their own."""
+
+    @given(st.integers(0, 2**64 - 1), st.integers(2, 5), st.integers(1, 60), st.sampled_from([1, 2]),
+           st.sampled_from(["front-boundary", "past-first-front", "any"]), st.integers(1, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_selections_and_generator_state(self, seed, M, n, decimals, case, p, data):
+        # Rounding gives duplicate points, so crowding distances and niche counts tie.
+        y = np.random.default_rng(seed).random((n, M)).round(decimals)
+        sizes = np.cumsum([len(front) for front in fast_nondominated_sort(y)]).tolist()
+        target = data.draw({
+            "front-boundary": st.sampled_from(sizes),  # includes n, the whole pool
+            "past-first-front": st.integers(min(sizes[0] + 1, n), n),
+            "any": st.integers(1, n),
+        }[case])
+
+        got = nsga2_select(y, target)
+        assert got == own_fill_nsga2_select(y, target)
+        assert {type(i) for i in got} == {int}
+
+        directions = das_dennis(M, p)
+        oracle_rng, rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = nsga3_select(y, target, directions, rng=rng)
+        assert got == own_fill_nsga3_select(y, target, directions, oracle_rng)
+        assert {type(i) for i in got} == {int}
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
