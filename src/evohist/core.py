@@ -1,9 +1,10 @@
 """Shared domain types and Pareto-dominance primitives.
 
 Everything downstream (problems, optimisers, embeddings, metrics, file
-formats) works in terms of the value types defined here.  All types are
-immutable: the wrapped numpy arrays are defensive copies with the
-writeable flag cleared, so records can be shared freely between threads.
+formats) works in terms of the value types and input checks defined here.
+All types are immutable: ``_freeze`` stores the wrapped numpy arrays as
+defensive copies with the writeable flag cleared, so records can be
+shared freely between threads.
 
 Minimisation is assumed throughout: an objective vector ``a`` dominates
 ``b`` iff ``a`` is no worse on every objective and strictly better on at
@@ -20,6 +21,8 @@ __all__ = [
     "ContractError",
     "ConfigError",
     "objective_vector",
+    "objective_matrix",
+    "decision_matrix",
     "non_dominated_subset",
     "dominance_matrix",
     "GenerationRecord",
@@ -47,6 +50,53 @@ def objective_vector(values, n_objectives: int | None = None) -> np.ndarray:
         i = int(np.flatnonzero(~np.isfinite(y))[0])
         raise ContractError(f"objective {i} = {y[i]} is not finite")
     return y
+
+
+def _matrix(values, columns: int | None, kind: str) -> np.ndarray:
+    """``values`` as a 2-D float array, with ``columns`` columns unless that is None."""
+    try:
+        m = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, or entries that are not numbers
+        raise ContractError(f"{kind} matrix must be equal-length rows of numbers: {exc}") from None
+    if m.ndim != 2 or columns not in (None, m.shape[1]):
+        width = "a 2-D" if columns is None else f"an (n, {columns})"
+        raise ContractError(f"expected {width} {kind} matrix, got shape {m.shape}")
+    return m
+
+
+def objective_matrix(values, n_objectives: int | None = None) -> np.ndarray:
+    """Validate a matrix of objective vectors, one per row: 2-D, every entry finite.
+
+    Any number of rows, zero included; callers that need members say so.
+    """
+    y = _matrix(values, n_objectives, "objective")
+    bad = ~np.isfinite(y)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ContractError(f"objective {c} = {y[r, c]} in row {r} is not finite")
+    return y
+
+
+def decision_matrix(values, n_variables: int | None = None) -> np.ndarray:
+    """Validate a matrix of decision vectors, one per row: 2-D, every variable in [0, 1].
+
+    NaN lies outside [0, 1].  The error names the first bad variable in row-major order.
+    """
+    x = _matrix(values, n_variables, "decision")
+    bad = ~((x >= 0.0) & (x <= 1.0))
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ContractError(f"decision variable {c} = {x[r, c]} lies outside [0, 1]")
+    return x
+
+
+def _freeze(record, **values) -> None:
+    """Set fields of the frozen dataclass ``record``; each ndarray is stored as a read-only copy."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value = np.array(value)
+            value.flags.writeable = False
+        object.__setattr__(record, name, value)
 
 
 def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
@@ -99,9 +149,9 @@ def non_dominated_subset(points) -> list[int]:
     dominates ``points[i]``.  Duplicated vectors are mutually
     non-dominating, so all copies survive.
     """
-    y = np.asarray(points, dtype=float)
-    if y.ndim != 2 or y.shape[0] == 0:
-        raise ContractError("non_dominated_subset needs a non-empty 2-D point set")
+    y = objective_matrix(points)
+    if y.shape[0] == 0:
+        raise ContractError("non_dominated_subset needs a non-empty point set")
     dom = dominance_matrix(y)
     return [int(i) for i in np.flatnonzero(~dom.any(axis=0))]
 
@@ -121,19 +171,10 @@ class GenerationRecord:
     def __post_init__(self):
         if int(self.generation) != self.generation or self.generation < 0:
             raise ContractError(f"generation index must be a non-negative integer, got {self.generation}")
-        x = np.array(self.x, dtype=float)
-        y = np.array(self.y, dtype=float)
-        if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
+        x, y = decision_matrix(self.x), objective_matrix(self.y)
+        if x.shape[0] != y.shape[0] or x.shape[0] == 0:
             raise ContractError("generation members must form non-empty row-aligned x/y matrices")
-        if ((x < 0.0) | (x > 1.0)).any():
-            raise ContractError(f"generation {self.generation} has decision variables outside [0, 1]")
-        if not np.isfinite(y).all():
-            raise ContractError(f"generation {self.generation} has non-finite objectives")
-        object.__setattr__(self, "generation", int(self.generation))
-        x.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _freeze(self, generation=int(self.generation), x=x, y=y)
 
     @property
     def size(self) -> int:
@@ -173,6 +214,16 @@ def _check_run_sizes(M: int, D: int, population_size: int) -> None:
         raise ContractError("population size must be at least 2")
 
 
+def _check_generation(record: GenerationRecord, t: int, M: int, D: int, population_size: int) -> None:
+    """``record`` can stand at position t of a run with M objectives, D variables and population_size members."""
+    if record.generation != t:
+        raise ContractError(f"generation indices must be 0..n-1 in order; position {t} holds {record.generation}")
+    if record.size != population_size:
+        raise ContractError(f"generation {t} has {record.size} members, expected population size {population_size}")
+    if record.x.shape[1] != D or record.y.shape[1] != M:
+        raise ContractError(f"generation {t} does not match the declared D/M dimensions")
+
+
 @dataclass(frozen=True)
 class RunHistory:
     """An optimisation run: its configuration plus every generation in order.
@@ -199,17 +250,8 @@ class RunHistory:
         if not gens:
             raise ContractError("a run history must contain at least one generation")
         for t, rec in enumerate(gens):
-            if rec.generation != t:
-                raise ContractError(
-                    f"generation indices must be 0..n-1 in order; position {t} holds index {rec.generation}"
-                )
-            if rec.size != self.population_size:
-                raise ContractError(
-                    f"generation {t} has {rec.size} members, expected population size {self.population_size}"
-                )
-            if rec.x.shape[1] != self.D or rec.y.shape[1] != self.M:
-                raise ContractError(f"generation {t} does not match the declared D/M dimensions")
-        object.__setattr__(self, "generations", gens)
+            _check_generation(rec, t, self.M, self.D, self.population_size)
+        _freeze(self, generations=gens)
 
     @property
     def n_generations(self) -> int:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ContractError, GenerationRecord, RunHistory
+from .core import ContractError, GenerationRecord, RunHistory, _freeze
 
 __all__ = [
     "EmbeddingSpace",
@@ -219,10 +219,10 @@ class Embedding:
     degenerate: bool = False
 
     def __post_init__(self):
-        e1 = np.array(self.e1, dtype=float)
-        e2 = np.array(self.e2, dtype=float)
-        gen = np.array(self.generation, dtype=np.int64)
-        idx = np.array(self.member_index, dtype=np.int64)
+        e1 = np.asarray(self.e1, dtype=float)
+        e2 = np.asarray(self.e2, dtype=float)
+        gen = np.asarray(self.generation, dtype=np.int64)
+        idx = np.asarray(self.member_index, dtype=np.int64)
         n = e1.shape[0]
         if not (e1.shape == e2.shape == gen.shape == idx.shape) or e1.ndim != 1 or n == 0:
             raise ContractError("embedding columns must be non-empty and equal-length")
@@ -235,13 +235,7 @@ class Embedding:
             scale = max(1.0, float(np.abs(e1).max()), float(np.abs(e2).max()))
             if abs(e1.mean()) > 1e-9 * scale or abs(e2.mean()) > 1e-9 * scale:
                 raise ContractError("embedded coordinates must be mean-centred")
-        for arr in (e1, e2, gen, idx):
-            arr.flags.writeable = False
-        object.__setattr__(self, "space", as_space(self.space))
-        object.__setattr__(self, "e1", e1)
-        object.__setattr__(self, "e2", e2)
-        object.__setattr__(self, "generation", gen)
-        object.__setattr__(self, "member_index", idx)
+        _freeze(self, space=as_space(self.space), e1=e1, e2=e2, generation=gen, member_index=idx)
 
     @property
     def n_points(self) -> int:

@@ -27,7 +27,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .core import ContractError, GenerationRecord, OperatorConfig, RunHistory, _check_run_sizes
+from .core import ContractError, GenerationRecord, OperatorConfig, RunHistory, _check_generation, _check_run_sizes
 from .embedding import Embedding, as_space
 from .metrics import HypervolumeTrace
 from .optimizer import RNG_ALGORITHM
@@ -234,8 +234,10 @@ def read_history(path) -> RunHistory:
 
     Raises FormatVersionError on a version mismatch, MalformedRecordError
     on bytes that are not UTF-8 and (naming the line) on unparseable lines
-    or missing or mistyped fields, and the usual contract errors when the
-    decoded records violate history invariants such as generation ordering.
+    or missing or mistyped fields, and ContractError naming the line on a
+    generation that breaks a record invariant or does not fit the header:
+    out of order, a member count other than the population size, or
+    vectors of other than D and M entries.
     """
     lines = _read_lines(path)
     run_fields = _read_header(path, lines)
@@ -245,14 +247,11 @@ def read_history(path) -> RunHistory:
         for key in ("gen", "x", "y"):
             if key not in record:
                 raise MalformedRecordError(f"{path}: line {lineno}: generation record missing {key!r}")
-        if record["gen"] != lineno - 2:
-            raise ContractError(
-                f"{path}: line {lineno}: generation index {record['gen']} out of order "
-                f"(expected {lineno - 2})"
-            )
         try:
             generations.append(GenerationRecord(record["gen"], record["x"], record["y"]))
-        except (ContractError, TypeError, ValueError) as exc:
+            _check_generation(generations[-1], lineno - 2, run_fields["M"], run_fields["D"],
+                              run_fields["population_size"])
+        except (TypeError, ValueError) as exc:
             raise ContractError(f"{path}: line {lineno}: {exc}") from None
     if not generations:
         raise MalformedRecordError(f"{path}: line 2: no generation records after the header")

@@ -34,7 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, GenerationRecord, RunHistory, non_dominated_subset, objective_vector
+from .core import (
+    ContractError,
+    GenerationRecord,
+    RunHistory,
+    _freeze,
+    non_dominated_subset,
+    objective_matrix,
+    objective_vector,
+)
 from .embedding import EmbeddingSpace, _space_matrix, _sq_diff_sum, as_space
 
 __all__ = [
@@ -147,19 +155,15 @@ class ExplorationProfile:
     score: np.ndarray
 
     def __post_init__(self):
-        med = np.array(self.per_generation_median, dtype=float)
-        score = np.array(self.score, dtype=float)
+        med = np.asarray(self.per_generation_median, dtype=float)
+        score = np.asarray(self.score, dtype=float)
         if score.ndim != 2 or med.ndim != 1 or score.shape[0] != med.shape[0]:
             raise ContractError("profile arrays must be (n_gen, pop) scores and (n_gen,) medians")
         if ((score < 0) | (score > 1)).any():
             raise ContractError("exploration scores must lie in [0, 1]")
         if self.overall_median != _low_median(med):
             raise ContractError("overall median must be the lower-middle median of m(t)")
-        med.flags.writeable = False
-        score.flags.writeable = False
-        object.__setattr__(self, "space", as_space(self.space))
-        object.__setattr__(self, "per_generation_median", med)
-        object.__setattr__(self, "score", score)
+        _freeze(self, space=as_space(self.space), per_generation_median=med, score=score)
 
 
 def exploration_profile(history: RunHistory, space="search") -> ExplorationProfile:
@@ -259,22 +263,6 @@ def _slice(points: np.ndarray, reference: np.ndarray) -> float:
     return volume
 
 
-def _prepare_front(front, reference) -> tuple[np.ndarray, np.ndarray]:
-    reference = objective_vector(reference)
-    pts = np.asarray(front, dtype=float)
-    if pts.ndim == 1 and pts.size and reference.size == 1:
-        pts = pts[:, None]
-    if pts.size == 0:
-        return np.empty((0, reference.size)), reference
-    if pts.ndim != 2 or pts.shape[1] != reference.size:
-        raise ContractError(
-            f"front must be (n, {reference.size}) to match the reference, got shape {pts.shape}"
-        )
-    if not np.isfinite(pts).all():
-        raise ContractError("front members must be finite")
-    return pts, reference
-
-
 def hypervolume_exact(front, reference) -> float:
     """Exact hypervolume of ``front`` against ``reference`` (minimisation).
 
@@ -283,7 +271,8 @@ def hypervolume_exact(front, reference) -> float:
     staircase (M=2), the sweep (M=3) or the slicing (M=4-5).  Supports
     2-5 objectives; beyond that, use hypervolume_mc.
     """
-    pts, reference = _prepare_front(front, reference)
+    reference = objective_vector(reference)
+    pts = objective_matrix(front, reference.size)
     m = reference.size
     if m > EXACT_HV_MAX_OBJECTIVES:
         raise UnsupportedDimensionError(
@@ -311,8 +300,9 @@ def hypervolume_mc(front, reference, samples: int, rng: np.random.Generator) -> 
     """
     if samples < 10_000:
         raise ContractError(f"Monte Carlo estimate needs at least 10000 samples, got {samples}")
-    pts, reference = _prepare_front(front, reference)
-    dominating = pts[(pts < reference).all(axis=1)] if pts.size else pts
+    reference = objective_vector(reference)
+    pts = objective_matrix(front, reference.size)
+    dominating = pts[(pts < reference).all(axis=1)]
     if dominating.shape[0] == 0:
         return 0.0, 0.0
     lower = pts.min(axis=0)
@@ -355,18 +345,13 @@ class HypervolumeTrace:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ContractError("a hypervolume trace needs at least one value")
         if (values < 0).any() or not np.isfinite(values).all():
             raise ContractError("hypervolume values must be finite and non-negative")
-        values.flags.writeable = False
         ref = self.reference_point
-        if ref is not None:
-            ref = objective_vector(ref)
-            ref.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "reference_point", ref)
+        _freeze(self, values=values, reference_point=None if ref is None else objective_vector(ref))
 
     def __len__(self) -> int:
         return self.values.size

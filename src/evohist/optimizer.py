@@ -27,7 +27,9 @@ from .core import (
     GenerationRecord,
     OperatorConfig,
     RunHistory,
+    _freeze,
     dominance_matrix,
+    objective_matrix,
 )
 from .problems import ProblemSpec, evaluate_batch
 
@@ -86,7 +88,7 @@ class ReferenceDirectionSet:
     partitions: int
 
     def __post_init__(self):
-        dirs = np.array(self.directions, dtype=float)
+        dirs = np.asarray(self.directions, dtype=float)
         if dirs.ndim != 2 or dirs.shape[1] < 2:
             raise ContractError("reference directions must form an (n, M) matrix with M >= 2")
         if self.partitions < 1:
@@ -99,22 +101,10 @@ class ReferenceDirectionSet:
                 f"{dirs.shape[0]} directions inconsistent with p={self.partitions} "
                 f"(expected {expected})"
             )
-        dirs.flags.writeable = False
-        object.__setattr__(self, "directions", dirs)
+        _freeze(self, directions=dirs)
 
     def __len__(self) -> int:
         return self.directions.shape[0]
-
-
-def _objective_rows(population) -> np.ndarray:
-    """An (n, M) float matrix of objective vectors, from anything ``np.asarray`` makes one of."""
-    try:
-        y = np.asarray(population, dtype=float)
-    except ValueError:
-        y = None
-    if y is None or y.ndim != 2:
-        raise ContractError("population must be an (n, M) matrix of objective vectors")
-    return y
 
 
 def fast_nondominated_sort(population) -> list[list[int]]:
@@ -125,7 +115,7 @@ def fast_nondominated_sort(population) -> list[list[int]]:
     input index appears in exactly one front; within a front, indices
     ascend.
     """
-    y = _objective_rows(population)
+    y = objective_matrix(population)
     if y.shape[0] == 0:
         raise ContractError("population must be non-empty")
     dom = dominance_matrix(y)
@@ -152,7 +142,7 @@ def crowding_distance(front) -> np.ndarray:
     divided by that objective's range.  Fronts of one or two members are
     all-infinite, and an objective with zero range contributes nothing.
     """
-    y = _objective_rows(front)
+    y = objective_matrix(front)
     n = y.shape[0]
     if n <= 2:
         return np.full(n, np.inf)
@@ -311,7 +301,7 @@ def nsga2_select(population, target_size: int) -> list[int]:
     Whole fronts are taken in rank order; the front that overflows is cut
     by descending crowding distance, ties broken by lower original index.
     """
-    y = _objective_rows(population)
+    y = objective_matrix(population)
     selected, front = _fill(y, target_size)
     if front:
         order = np.lexsort((front, -crowding_distance(y[front])))
@@ -367,7 +357,7 @@ def nsga3_select(population, target_size: int, directions: ReferenceDirectionSet
     candidate.  Random choices (including ties between directions) come
     from ``rng``.
     """
-    y = _objective_rows(population)
+    y = objective_matrix(population)
     if len(directions) < 1:
         raise ContractError("nsga3_select needs at least one reference direction")
     if y.shape[1] != directions.directions.shape[1]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ContractError, objective_vector
+from .core import ConfigError, decision_matrix, objective_vector
 
 __all__ = ["ProblemSpec", "make_spec", "evaluate_batch", "front_residual", "DEFAULT_K"]
 
@@ -76,30 +76,19 @@ def _g_sphere(x_dist: np.ndarray) -> np.ndarray:
     return np.sum(z * z, axis=-1)
 
 
-def _dtlz1(x_pos: np.ndarray, x_dist: np.ndarray, M: int) -> np.ndarray:
-    g = _g_rastrigin(x_dist)
-    n = x_pos.shape[0]
-    f = np.empty((n, M))
-    for i in range(M):
-        v = 0.5 * (1.0 + g)
-        for j in range(M - 1 - i):
-            v = v * x_pos[:, j]
-        if i > 0:
-            v = v * (1.0 - x_pos[:, M - 1 - i])
-        f[:, i] = v
-    return f
+def _front_shape(scale: np.ndarray, lead: list, trail: list) -> np.ndarray:
+    """Objective i = scale × lead[0] × … × lead[M-2-i], times trail[M-1-i] for i > 0.
 
-
-def _dtlz2_shape(x_pos: np.ndarray, g: np.ndarray, M: int) -> np.ndarray:
-    theta = x_pos * (np.pi / 2.0)
-    n = x_pos.shape[0]
-    f = np.empty((n, M))
+    ``lead`` and ``trail`` hold one column per positional variable, so M = len(lead) + 1.
+    """
+    M = len(lead) + 1
+    f = np.empty((scale.shape[0], M))
     for i in range(M):
-        v = 1.0 + g
-        for j in range(M - 1 - i):
-            v = v * np.cos(theta[:, j])
+        v = scale
+        for column in lead[: M - 1 - i]:
+            v = v * column
         if i > 0:
-            v = v * np.sin(theta[:, M - 1 - i])
+            v = v * trail[M - 1 - i]
         f[:, i] = v
     return f
 
@@ -121,24 +110,18 @@ def evaluate_batch(spec: ProblemSpec, X) -> np.ndarray:
     ``X`` is an (n, D) matrix of decision vectors in [0, 1]; the result is
     the (n, M) matrix of objective values.  Deterministic and pure.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != spec.D:
-        raise ContractError(f"expected an (n, {spec.D}) decision matrix, got shape {X.shape}")
-    bad = np.argwhere(~((X >= 0.0) & (X <= 1.0)))
-    if bad.size:
-        r, c = (int(v) for v in bad[0])
-        raise ContractError(f"decision variable {c} = {X[r, c]} lies outside [0, 1]")
+    X = decision_matrix(X, spec.D)
     M = spec.M
     x_pos, x_dist = X[:, : M - 1], X[:, M - 1 :]
+    if spec.name == "dtlz7":
+        return _dtlz7(x_pos, x_dist, M)
     if spec.name == "dtlz1":
-        return _dtlz1(x_pos, x_dist, M)
-    if spec.name == "dtlz2":
-        return _dtlz2_shape(x_pos, _g_sphere(x_dist), M)
-    if spec.name == "dtlz3":
-        return _dtlz2_shape(x_pos, _g_rastrigin(x_dist), M)
-    if spec.name == "dtlz4":
-        return _dtlz2_shape(x_pos**_DTLZ4_ALPHA, _g_sphere(x_dist), M)
-    return _dtlz7(x_pos, x_dist, M)
+        return _front_shape(0.5 * (1.0 + _g_rastrigin(x_dist)), list(x_pos.T), list(1.0 - x_pos.T))
+    # DTLZ2/3/4: the unit sphere, scaled by 1 + g, at the angles x·π/2 (x^α for DTLZ4).
+    g = (_g_rastrigin if spec.name == "dtlz3" else _g_sphere)(x_dist)
+    theta = (x_pos**_DTLZ4_ALPHA if spec.name == "dtlz4" else x_pos) * (np.pi / 2.0)
+    # cos and sin column by column: on a whole matrix numpy may take a loop that rounds differently.
+    return _front_shape(1.0 + g, [np.cos(t) for t in theta.T], [np.sin(t) for t in theta.T])
 
 
 def front_residual(spec: ProblemSpec, y) -> float:

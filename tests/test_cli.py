@@ -674,14 +674,50 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout.strip() == "False"
 
 
-def test_embed_leaves_numpy_ma_out(artifacts, tmp_path):
-    """np.median's NaN check imports numpy.ma, a start-up cost every embed and pipeline process would pay."""
-    _, history, _, _ = artifacts
-    argv = ["embed", "--history", str(history), "--out", str(tmp_path / "e.csv")]
+@pytest.mark.parametrize("command", ["embed", "hv", "render"])
+def test_command_leaves_numpy_ma_and_random_out(artifacts, tmp_path, command):
+    """Commands that draw no random numbers import neither numpy.ma nor numpy.random.
+
+    np.median's NaN check imports numpy.ma, and ``import numpy.random``
+    costs about 10 ms and several MB of peak RSS; every embed, hv and render
+    process would pay for either at start-up.  Only run and pipeline draw.
+    """
+    _, history, embedding, _ = artifacts
+    inputs = ["--embedding", str(embedding)] if command == "render" else ["--history", str(history)]
+    argv = [command, *inputs, "--out", str(tmp_path / "out")]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-c", f"import evohist.cli, sys; code = evohist.cli.main({argv!r}); "
-         "print(code, 'numpy.ma' in sys.modules)"],
+         "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert result.stdout.splitlines()[-1] == "0 False"
+    assert result.stdout.splitlines()[-1] == "0 False False"
+
+
+def rewrite_generation(history, lineno, edit, out):
+    """Copy ``history`` to ``out`` with ``edit`` applied to the generation record on line ``lineno``."""
+    lines = history.read_text().splitlines()
+    record = json.loads(lines[lineno - 1])
+    edit(record)
+    lines[lineno - 1] = json.dumps(record)
+    out.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("lineno, edit, message", [
+    (3, lambda r: r["x"][0].__setitem__(1, float("nan")), "decision variable 1 = nan lies outside [0, 1]"),
+    (3, lambda r: (r["x"].pop(), r["y"].pop()), "generation 1 has 7 members, expected population size 8"),
+    (4, lambda r: r.update(y=[row[:2] for row in r["y"]]), "generation 2 does not match the declared D/M dimensions"),
+    (5, lambda r: r.update(x=[row[:-1] for row in r["x"]]), "generation 3 does not match the declared D/M dimensions"),
+    (2, lambda r: r["x"][4].__setitem__(0, -1e-300), "decision variable 0 = -1e-300 lies outside [0, 1]"),
+    (6, lambda r: r["y"][2].__setitem__(1, float("inf")), "objective 1 = inf in row 2 is not finite"),
+], ids=["nan-variable", "member-count", "objective-count", "variable-count", "below-box", "infinite-objective"])
+@pytest.mark.parametrize("command", ["embed", "hv"])
+def test_bad_generation_is_one_error_line(artifacts, tmp_path, capsys, command, lineno, edit, message):
+    """A generation that breaks a record rule or the header stops embed and hv with exit 1, naming file and line."""
+    _, history, _, _ = artifacts
+    bad = tmp_path / "bad.jsonl"
+    rewrite_generation(history, lineno, edit, bad)
+    out = tmp_path / "out.csv"
+    assert main([command, "--history", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: line {lineno}: {message}"]
+    assert not out.exists()

@@ -10,7 +10,10 @@ from evohist import (
     RunHistory,
     non_dominated_subset,
 )
-from evohist.core import dominance_matrix
+from evohist.core import decision_matrix, dominance_matrix, objective_matrix
+from evohist.embedding import Embedding
+from evohist.metrics import ExplorationProfile, HypervolumeTrace
+from evohist.optimizer import ReferenceDirectionSet
 
 vectors = st.lists(st.floats(-10, 10, allow_nan=False), min_size=2, max_size=5)
 
@@ -135,6 +138,39 @@ class TestNonDominatedSubset:
                 assert not dominates(pts[i], pts[j])
         for i in set(range(len(pts))) - set(kept):
             assert any(dominates(pts[j], pts[i]) for j in kept)
+
+
+class TestContracts:
+    @pytest.mark.parametrize("check", [objective_matrix, decision_matrix], ids=["objective", "decision"])
+    @pytest.mark.parametrize("values", [[[0.5, 0.5], [0.5]], [0.5, 0.5], np.full((2, 2, 2), 0.5), [["a", 0.5]],
+                                        [[None, 0.5]]], ids=["ragged", "1-D", "3-D", "text", "null"])
+    def test_non_matrix_rejected(self, check, values):
+        with pytest.raises(ContractError):
+            check(values)
+
+    @pytest.mark.parametrize("check", [objective_matrix, decision_matrix], ids=["objective", "decision"])
+    def test_column_count(self, check):
+        assert check(np.full((3, 2), 0.5), 2).shape == (3, 2)
+        assert check(np.empty((0, 2)), 2).shape == (0, 2)
+        with pytest.raises(ContractError, match=r"expected an \(n, 3\) .* got shape \(3, 2\)"):
+            check(np.full((3, 2), 0.5), 3)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda a: GenerationRecord(0, a, a), "x"),
+        (lambda a: GenerationRecord(0, a, a), "y"),
+        (lambda a: Embedding("search", a[:, 0], a[:, 1], [0, 0], [0, 1], 1), "e1"),
+        (lambda a: ExplorationProfile("search", a[:, 0], 0.25, a), "score"),
+        (lambda a: HypervolumeTrace(a[0], a[:, 0]), "reference_point"),
+        (lambda a: ReferenceDirectionSet(a, 1), "directions"),
+    ], ids=["record-x", "record-y", "embedding", "profile", "trace-reference", "directions"])
+    def test_fields_are_read_only_copies(self, build, field):
+        """Each array a value type stores is its own read-only copy; the caller's stays writeable."""
+        given_array = np.array([[0.25, 0.75], [0.75, 0.25]])
+        value = build(given_array)
+        stored = getattr(value, field)
+        assert not stored.flags.writeable
+        assert not np.shares_memory(stored, given_array)
+        assert given_array.flags.writeable
 
 
 class TestValueTypes:

@@ -107,6 +107,20 @@ class TestSort:
         with pytest.raises(ContractError):
             take(population)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("take", [
+        fast_nondominated_sort,
+        crowding_distance,
+        lambda y: nsga2_select(y, 2),
+        lambda y: nsga3_select(y, 2, das_dennis(2, 1), rng=np.random.default_rng(0)),
+        non_dominated_subset,
+    ], ids=["sort", "crowding", "nsga2", "nsga3", "subset"])
+    def test_non_finite_objective_rejected(self, take, value):
+        population = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.5, 3.0]])
+        population[2, 1] = value
+        with pytest.raises(ContractError, match=f"objective 1 = {value} in row 2 is not finite"):
+            take(population)
+
 
 class TestCrowding:
     def test_small_fronts_all_infinite(self):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evohist import ConfigError, ContractError, evaluate_batch, front_residual, make_spec
+from evohist.problems import _g_rastrigin, _g_sphere
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -111,6 +112,57 @@ class TestInvariants:
         assert np.array_equal(evaluate_batch(spec, x), evaluate_batch(spec, x))
 
 
+def dtlz1_by_own_loop(x_pos, x_dist, M):
+    """DTLZ1's objectives as the evaluator computed them before the shared front-shape product."""
+    g = _g_rastrigin(x_dist)
+    f = np.empty((x_pos.shape[0], M))
+    for i in range(M):
+        v = 0.5 * (1.0 + g)
+        for j in range(M - 1 - i):
+            v = v * x_pos[:, j]
+        if i > 0:
+            v = v * (1.0 - x_pos[:, M - 1 - i])
+        f[:, i] = v
+    return f
+
+
+def dtlz2_shape_by_own_loop(x_pos, g, M):
+    """The DTLZ2/3/4 sphere shape as the evaluator computed it before the shared front-shape product."""
+    theta = x_pos * (np.pi / 2.0)
+    f = np.empty((x_pos.shape[0], M))
+    for i in range(M):
+        v = 1.0 + g
+        for j in range(M - 1 - i):
+            v = v * np.cos(theta[:, j])
+        if i > 0:
+            v = v * np.sin(theta[:, M - 1 - i])
+        f[:, i] = v
+    return f
+
+
+class TestFrontShapeMatchesOwnLoops:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal(self, data):
+        """DTLZ1-4 evaluate to the same bits as the per-problem loops the shared product replaced."""
+        M, n, k = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = rng.random((n, k + M - 1))
+        # Some entries on the box boundary or its centre, where products hit exact zeros and ones.
+        edges = rng.random(X.shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+        X[edges] = rng.choice([0.0, 0.5, 1.0], size=int(edges.sum()))
+        x_pos, x_dist = X[:, : M - 1], X[:, M - 1 :]
+        expected = {
+            "dtlz1": dtlz1_by_own_loop(x_pos, x_dist, M),
+            "dtlz2": dtlz2_shape_by_own_loop(x_pos, _g_sphere(x_dist), M),
+            "dtlz3": dtlz2_shape_by_own_loop(x_pos, _g_rastrigin(x_dist), M),
+            "dtlz4": dtlz2_shape_by_own_loop(x_pos**100.0, _g_sphere(x_dist), M),
+        }
+        for name, f in expected.items():
+            got = evaluate_batch(make_spec(name, M, k), X)
+            assert got.dtype == f.dtype and got.tobytes() == f.tobytes(), name
+
+
 class TestValidation:
     def test_out_of_bounds_names_index(self):
         spec = make_spec("dtlz2", 3)
@@ -123,6 +175,14 @@ class TestValidation:
         spec = make_spec("dtlz2", 3)
         with pytest.raises(ContractError):
             evaluate_batch(spec, np.full((2, spec.D + 1), 0.5))
+
+    @pytest.mark.parametrize("value", [1.5, -0.25, np.nan, np.inf])
+    def test_message_names_first_bad_variable(self, value):
+        spec = make_spec("dtlz2", 3)
+        x = np.full((2, spec.D), 0.5)
+        x[1, 9] = x[1, 7] = value
+        with pytest.raises(ContractError, match=rf"^decision variable 7 = {value} lies outside \[0, 1\]$"):
+            evaluate_batch(spec, x)
 
     def test_nan_rejected(self):
         spec = make_spec("dtlz1", 3)
