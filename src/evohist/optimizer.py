@@ -28,6 +28,7 @@ from .core import (
     OperatorConfig,
     RunHistory,
     _freeze,
+    _matrix,
     dominance_matrix,
     objective_matrix,
 )
@@ -88,12 +89,12 @@ class ReferenceDirectionSet:
     partitions: int
 
     def __post_init__(self):
-        dirs = np.asarray(self.directions, dtype=float)
-        if dirs.ndim != 2 or dirs.shape[1] < 2:
+        dirs = _matrix(self.directions, None, "reference direction")
+        if dirs.shape[1] < 2:
             raise ContractError("reference directions must form an (n, M) matrix with M >= 2")
         if self.partitions < 1:
             raise ContractError(f"partition count must be positive, got {self.partitions}")
-        if (dirs < 0).any() or (np.abs(dirs.sum(axis=1) - 1.0) > 1e-12).any():
+        if not ((dirs >= 0).all() and (np.abs(dirs.sum(axis=1) - 1.0) <= 1e-12).all()):
             raise ContractError("each reference direction must be non-negative and sum to 1")
         expected = comb(dirs.shape[1] + self.partitions - 1, self.partitions)
         if dirs.shape[0] != expected:

@@ -1,3 +1,5 @@
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from evohist import (
     nearest_neighbour_distances,
 )
 from evohist import metrics
+from evohist.core import non_dominated_subset
 from evohist.metrics import _row_medians, _staircase_2d, auto_reference
 
 
@@ -95,6 +98,71 @@ def awkward_fronts(draw):
     rows = draw(st.lists(st.lists(coordinate, min_size=m, max_size=m), min_size=n, max_size=n))
     repeats = draw(st.lists(st.integers(0, n - 1), max_size=3))
     return np.array(rows + [rows[i] for i in repeats], dtype=float)
+
+
+def _sweep_3d_by_prefix(points, reference):
+    """The 3-D sweep as it stood before the 4-D sweep: one fresh staircase per call."""
+    rx, ry, rz = reference.tolist()
+    xs, ys = [], []
+    area = volume = z_prev = 0.0
+    for x, y, z in points[np.argsort(points[:, 2], kind="stable")].tolist():
+        volume += area * (z - z_prev)
+        z_prev = z
+        i = bisect_right(xs, x)
+        if i and ys[i - 1] <= y:
+            continue
+        j = bisect_left(xs, x, hi=i)
+        height = ys[j - 1] if j else ry
+        left = x
+        k = j
+        while k < len(xs) and ys[k] >= y:
+            area += (xs[k] - left) * (height - y)
+            left, height = xs[k], ys[k]
+            k += 1
+        area += ((xs[k] if k < len(xs) else rx) - left) * (height - y)
+        xs[j:k] = [x]
+        ys[j:k] = [y]
+    return volume + area * (rz - z_prev)
+
+
+def slice_by_prefix(points, reference):
+    """Hypervolume at M = 4-5 as it stood before the 4-D sweep: every prefix of the last
+    objective re-swept from scratch, the 3-D sweep unfiltered and a deeper level filtered."""
+    pts = points[np.argsort(points[:, -1], kind="stable")]
+    bounds = np.append(pts[:, -1], reference[-1]).tolist()
+    lower, lower_ref = pts[:, :-1], reference[:-1]
+    volume = 0.0
+    for i in range(pts.shape[0]):
+        depth = bounds[i + 1] - bounds[i]
+        if depth == 0.0:
+            continue
+        prefix = lower[: i + 1]
+        if lower_ref.size == 3:
+            volume += depth * _sweep_3d_by_prefix(prefix, lower_ref)
+        else:
+            volume += depth * slice_by_prefix(prefix[non_dominated_subset(prefix)], lower_ref)
+    return volume
+
+
+@st.composite
+def tied_grid_fronts(draw, m, max_rows):
+    """An (n, m) front on a coarse grid against the reference (1, ..., 1).
+
+    Every axis ties, rows repeat, and some rows are copies of another
+    with x and y one grid step lower, z the same and w one step higher:
+    each dominates its source in (x, y, z) and ties it in z without
+    dominating it in 4-D, so both reach the 4-D sweep.  Grid value 1.0
+    lies on the reference and bounds no volume.
+    """
+    steps = draw(st.integers(2, 6))
+    n = draw(st.integers(1, max_rows))
+    grid = draw(arrays(np.int64, (n, m), elements=st.integers(0, steps))).astype(float)
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    shadows = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    shadowed = grid[shadows]
+    shadowed[:, :2] = np.maximum(shadowed[:, :2] - 1, 0)
+    shadowed[:, 3] = np.minimum(shadowed[:, 3] + 1, steps)
+    return np.vstack([grid, grid[repeats], shadowed]) / steps
 
 
 def record(xs, ys=None, t=0):
@@ -246,6 +314,8 @@ class TestExplorationProfile:
                                np.array([[0.5], [0.5]]))  # wrong overall median
         with pytest.raises(ContractError):
             ExplorationProfile("search", np.array([1.0]), 1.0, np.array([[1.5]]))
+        with pytest.raises(ContractError, match=r"scores must lie in \[0, 1\]"):
+            ExplorationProfile("search", [0.1, 0.2], 0.1, [[np.nan, 0.5], [0.2, 0.3]])
 
 
 class TestHypervolumeExact:
@@ -325,6 +395,41 @@ class TestHypervolumeExact:
     def test_reference_shape_mismatch(self):
         with pytest.raises(ContractError):
             hypervolume_exact(np.zeros((2, 3)), (1.0, 1.0))
+
+
+class TestSweep4d:
+    """The incremental 4-D sweep against the prefix-by-prefix slicing it replaced."""
+
+    @staticmethod
+    def assert_matches_slicing(front, reference):
+        below = front[(front < reference).all(axis=1)]
+        expected = slice_by_prefix(below[non_dominated_subset(below)], reference) if below.size else 0.0
+        assert abs(hypervolume_exact(front, reference) - expected) <= 1e-14 * expected
+
+    @given(tied_grid_fronts(4, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_four_objectives_match_slicing(self, front):
+        self.assert_matches_slicing(front, np.ones(4))
+
+    @given(tied_grid_fronts(5, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_five_objectives_match_slicing(self, front):
+        self.assert_matches_slicing(front, np.ones(5))
+
+    @given(tied_grid_fronts(4, 80))
+    @settings(max_examples=100, deadline=None)
+    def test_unfiltered_rows_match_slicing(self, front):
+        # Rows dominated in 4-D, which hypervolume_exact filters out, only drop out of the sweep.
+        reference = np.ones(4)
+        below = front[(front < reference).all(axis=1)]
+        expected = slice_by_prefix(below, reference)
+        assert abs(metrics._sweep_4d(below, reference) - expected) <= 1e-14 * expected
+
+    def test_sphere_front_of_168_points(self):
+        rng = np.random.default_rng(168)
+        front = np.abs(rng.standard_normal((168, 4)))
+        front /= np.linalg.norm(front, axis=1, keepdims=True)
+        self.assert_matches_slicing(front, np.full(4, 1.1))
 
 
 class TestHypervolumeMc:

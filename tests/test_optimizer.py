@@ -270,6 +270,16 @@ class TestReferenceDirections:
             ReferenceDirectionSet(np.array([[0.5, 0.6]]), partitions=1)
         with pytest.raises(ContractError):
             ReferenceDirectionSet(np.array([[1.0, 0.0]]), partitions=1)  # count mismatch
+        with pytest.raises(ContractError, match="non-negative and sum to 1"):
+            ReferenceDirectionSet([[np.nan, np.nan], [0.0, 1.0]], partitions=1)
+
+    @pytest.mark.parametrize("directions, message", [
+        ([[0.5, 0.5], [1.0]], "equal-length rows of numbers"),
+        ([0.5, 0.5], r"expected a 2-D reference direction matrix, got shape \(2,\)"),
+    ], ids=["ragged", "1-d"])
+    def test_set_refuses_non_matrix_directions(self, directions, message):
+        with pytest.raises(ContractError, match=message):
+            ReferenceDirectionSet(directions, partitions=1)
 
     def test_default_tables(self):
         assert default_partitions(3) == 12
