@@ -188,10 +188,13 @@ def write_history(history: RunHistory, path) -> None:
             fh.write(f'{{"gen": {rec.generation}, "x": [{", ".join(x_texts)}], "y": [{", ".join(y_texts)}]}}\n')
 
 
-def _parse_record(path, lineno: int, text: str) -> dict:
-    """One history line as a JSON object; anything else is malformed, naming the line."""
+def _parse_record(path, lineno: int, text: str, parse_int=int) -> dict:
+    """One history line as a JSON object; anything else is malformed, naming the line.
+
+    ``parse_int`` converts integer literals, as in ``json.loads``.
+    """
     try:
-        record = json.loads(text)
+        record = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(f"{path}: line {lineno}: {exc.msg}") from None
     if not isinstance(record, dict):
@@ -204,7 +207,8 @@ def _read_header(path, lines: list[str] | None = None) -> dict:
 
     ``lines`` are the file's lines; without them only the first is read.
     Raises FormatVersionError or MalformedRecordError naming line 1 on a
-    bad header, and ContractError on sizes or operators a run cannot have.
+    bad header, and ContractError naming line 1 on sizes or operators a
+    run cannot have.
     """
     lines = _read_lines(path, first_only=True) if lines is None else lines
     if not lines:
@@ -223,8 +227,11 @@ def _read_header(path, lines: list[str] | None = None) -> dict:
         if type(header[key]) not in accepted:
             raise MalformedRecordError(f"{path}: line 1: header field {key!r} is not {name}: {header[key]!r}")
     run_fields = {key: kind(header[key]) for key, kind in _HEADER.items()}
-    run_fields["operators"] = OperatorConfig(**{f.name: run_fields.pop(f.name) for f in fields(OperatorConfig)})
-    _check_run_sizes(run_fields["M"], run_fields["D"], run_fields["population_size"])
+    try:
+        run_fields["operators"] = OperatorConfig(**{f.name: run_fields.pop(f.name) for f in fields(OperatorConfig)})
+        _check_run_sizes(run_fields["M"], run_fields["D"], run_fields["population_size"])
+    except ContractError as exc:
+        raise ContractError(f"{path}: line 1: {exc}") from None
     del run_fields["format_version"], run_fields["rng_algorithm"]
     return run_fields
 
@@ -243,7 +250,8 @@ def read_history(path) -> RunHistory:
     run_fields = _read_header(path, lines)
     generations = []
     for lineno, text in enumerate(lines[1:], start=2):
-        record = _parse_record(path, lineno, text)
+        # %.17g prints -0.0 as "-0", an integer literal; read as a float it keeps its sign.
+        record = _parse_record(path, lineno, text, parse_int=float)
         for key in ("gen", "x", "y"):
             if key not in record:
                 raise MalformedRecordError(f"{path}: line {lineno}: generation record missing {key!r}")
@@ -345,8 +353,8 @@ def read_embedding(path) -> tuple[Embedding, np.ndarray]:
     """Parse an embedding CSV back into (Embedding, score array).
 
     Every row is parsed first; then line 2's space and positive stride are
-    checked, every later row must repeat them, and no ``gen`` or ``idx`` may
-    be negative.
+    checked, every later row must repeat them, no ``gen`` or ``idx`` may
+    be negative, and every score must lie in [0, 1].
     """
     gen, idx, e1, e2, scores, spaces, strides = _read_table(
         path, EMBEDDING_CSV_HEADER, (int, int, float, float, float, str, int))
@@ -363,6 +371,10 @@ def read_embedding(path) -> tuple[Embedding, np.ndarray]:
     if negative.size:
         k = negative[0]
         raise MalformedRecordError(f"{path}: line {k + 2}: gen {gen[k]}, idx {idx[k]} must be non-negative")
+    outside = np.flatnonzero((scores < 0) | (scores > 1))
+    if outside.size:
+        k = outside[0]
+        raise MalformedRecordError(f"{path}: line {k + 2}: score {scores[k]} outside [0, 1]")
     return Embedding(space, e1, e2, gen, idx, stride=int(strides[0])), scores
 
 

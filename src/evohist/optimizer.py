@@ -14,7 +14,6 @@ history, byte for byte.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -92,8 +91,8 @@ class ReferenceDirectionSet:
         dirs = _matrix(self.directions, None, "reference direction")
         if dirs.shape[1] < 2:
             raise ContractError("reference directions must form an (n, M) matrix with M >= 2")
-        if self.partitions < 1:
-            raise ContractError(f"partition count must be positive, got {self.partitions}")
+        if type(self.partitions) is bool or not isinstance(self.partitions, int) or self.partitions < 1:
+            raise ContractError(f"partition count must be a positive integer, got {self.partitions!r}")
         if not ((dirs >= 0).all() and (np.abs(dirs.sum(axis=1) - 1.0) <= 1e-12).all()):
             raise ContractError("each reference direction must be non-negative and sum to 1")
         expected = comb(dirs.shape[1] + self.partitions - 1, self.partitions)
@@ -310,17 +309,6 @@ def nsga2_select(population, target_size: int) -> list[int]:
     return selected
 
 
-def _asf_extremes(translated: np.ndarray) -> np.ndarray:
-    """One extreme point per axis, minimising the axis-weighted achievement scalar."""
-    M = translated.shape[1]
-    weights = np.full((M, M), 1e-6) + np.eye(M)
-    extremes = np.empty(M, dtype=np.int64)
-    for j in range(M):
-        asf = np.max(translated / weights[j], axis=1)
-        extremes[j] = int(np.argmin(asf))
-    return extremes
-
-
 def _normalise(translated: np.ndarray) -> np.ndarray:
     """Scale translated objectives by the extreme-point hyperplane intercepts.
 
@@ -328,7 +316,10 @@ def _normalise(translated: np.ndarray) -> np.ndarray:
     singular or yields nonsense intercepts; an axis with zero spread is
     divided by 1.
     """
-    extreme = translated[_asf_extremes(translated)]
+    # Per axis, the row minimising the achievement scalar weighted towards that axis.
+    M = translated.shape[1]
+    weights = np.full((M, M), 1e-6) + np.eye(M)
+    extreme = translated[np.argmin(np.max(translated[:, None, :] / weights, axis=2), axis=0)]
     intercepts = None
     try:
         plane = np.linalg.solve(extreme, np.ones(extreme.shape[0]))
@@ -352,11 +343,14 @@ def nsga3_select(population, target_size: int, directions: ReferenceDirectionSet
     resolved by niching: objectives are translated by the ideal point of
     the candidate set, normalised by hyperplane intercepts through the
     per-axis extreme points, and associated to the nearest reference
-    direction by perpendicular distance.  Directions with the fewest
-    survivors so far admit members first; a direction with no survivor
-    yet takes its closest candidate, one with survivors takes a random
-    candidate.  Random choices (including ties between directions) come
-    from ``rng``.
+    direction by perpendicular distance.  Members are then admitted
+    level by level.  Level c lists, in ascending order, the directions
+    with c survivors and a candidate left; a random draw from the list
+    picks one, which admits a member and moves up to level c + 1, until
+    the list is empty or the target is met.  At level 0 a direction
+    admits its closest candidate (ties by lower position), above it a
+    random one.  Every random choice comes from ``rng``; a one-direction
+    list draws nothing.
     """
     y = objective_matrix(population)
     if len(directions) < 1:
@@ -382,33 +376,30 @@ def nsga3_select(population, target_size: int, directions: ReferenceDirectionSet
     assoc = np.argmin(dist, axis=1)
     assoc_dist = dist[np.arange(len(considered)), assoc].tolist()
 
-    niche = np.zeros(len(directions), dtype=np.int64)
-    np.add.at(niche, assoc[: len(selected)], 1)
+    niche = np.bincount(assoc[: len(selected)], minlength=len(directions)).tolist()
     # pools[j]: positions (into `considered`) of unselected last-front members
-    # vying for direction j.
+    # vying for direction j; a direction leaves once its pool is empty.
     pools: dict[int, list[int]] = {}
     for pos in range(len(selected), len(considered)):
         pools.setdefault(int(assoc[pos]), []).append(pos)
-    # levels[c]: ascending directions with survivor count c and a non-empty pool.
-    levels: dict[int, list[int]] = {}
-    for j in sorted(pools):
-        levels.setdefault(int(niche[j]), []).append(j)
 
     while len(selected) < target_size:
-        count = min(levels)
-        lowest = levels[count]
-        j = lowest.pop(int(rng.integers(len(lowest))) if len(lowest) > 1 else 0)
-        if not lowest:
-            del levels[count]
-        pool = pools[j]
-        if count == 0:
-            pos = min(pool, key=lambda p: (assoc_dist[p], p))
-            pool.remove(pos)
-        else:
-            pos = pool.pop(int(rng.integers(len(pool))))
-        selected.append(considered[pos])
-        if pool:
-            insort(levels.setdefault(count + 1, []), j)
+        # A pick moves its direction up exactly one level, so the next level
+        # is complete once this one is used up.
+        count = min(niche[j] for j in pools)
+        level = [j for j in sorted(pools) if niche[j] == count]
+        while level and len(selected) < target_size:
+            j = level.pop(int(rng.integers(len(level))) if len(level) > 1 else 0)
+            pool = pools[j]
+            if count == 0:
+                pos = min(pool, key=lambda p: (assoc_dist[p], p))
+                pool.remove(pos)
+            else:
+                pos = pool.pop(int(rng.integers(len(pool))))
+            if not pool:
+                del pools[j]
+            niche[j] += 1
+            selected.append(considered[pos])
     return selected
 
 

@@ -543,9 +543,11 @@ def test_non_utf8_input_is_an_error_line(tmp_path, capsys, argv, code):
     ("--embedding", 2, 6, "0"),
     ("--embedding", 3, 0, "-3"),
     ("--embedding", 5, 1, "-7"),
+    ("--embedding", 3, 4, "1.5"),
+    ("--embedding", 4, 4, "-0.5"),
 ], ids=["short-row", "bad-int", "bad-float", "huge-gen", "huge-negative-idx", "bad-hv", "gen-gap", "huge-hv-gen",
         "inf-e1", "nan-e2", "overflow-score", "inf-hv", "nan-hv", "negative-hv", "unknown-space", "stride-change",
-        "zero-stride", "negative-gen", "negative-idx"])
+        "zero-stride", "negative-gen", "negative-idx", "score-above-1", "negative-score"])
 def test_corrupt_csv_is_one_error_line(artifacts, tmp_path, flag, lineno, column, field):
     """A corrupt CSV row stops ``render`` with exit 1, one ``error:`` line naming it, no traceback."""
     _, _, embedding, trace = artifacts
@@ -720,4 +722,26 @@ def test_bad_generation_is_one_error_line(artifacts, tmp_path, capsys, command, 
     out = tmp_path / "out.csv"
     assert main([command, "--history", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {bad}: line {lineno}: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("M", 0, "a run needs at least two objectives"),
+    ("D", 0, "a run needs at least one decision variable"),
+    ("population_size", 1, "population size must be at least 2"),
+    ("mutation_probability", 1e400, "mutation probability inf outside [0, 1]"),
+    ("sbx_eta", 0, "distribution indices must be finite and positive"),
+])
+@pytest.mark.parametrize("command", ["embed", "hv"])
+def test_impossible_header_value_names_line_1(artifacts, tmp_path, capsys, command, field, value, message):
+    """A header value no run can have stops embed and hv with exit 1, naming the file and line 1."""
+    _, history, _, _ = artifacts
+    lines = history.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[field] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    out = tmp_path / "out.csv"
+    assert main([command, "--history", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: line 1: {message}"]
     assert not out.exists()

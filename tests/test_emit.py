@@ -88,6 +88,16 @@ class TestHistoryFile:
         assert np.array_equal(back.generations[0].x, xs[0])
         assert np.array_equal(back.generations[0].y, ys[0])
 
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        x = np.array([[-0.0, 0.5], [0.0, 1.0]])
+        y = np.array([[-0.0, 1.0], [1.0, -0.0]])
+        path = tmp_path / "h.jsonl"
+        write_history(synthetic_history([x], [y]), path)
+        assert '"x": [[-0, 0.5], [0, 1]]' in path.read_text()
+        back = read_history(path).generations[0]
+        assert np.array_equal(np.signbit(back.x), np.signbit(x)) and np.array_equal(back.x, x)
+        assert np.array_equal(np.signbit(back.y), np.signbit(y)) and np.array_equal(back.y, y)
+
     def test_header_layout(self, tmp_path):
         path = tmp_path / "h.jsonl"
         write_history(tiny_history(), path)
@@ -224,6 +234,12 @@ class TestEmbeddingFile:
             "0,0,1.0,2.0,0.5,search,1\n0,1,1.0,2.0,0.5,objective,1\n")
         with pytest.raises(MalformedRecordError, match="space/stride"):
             read_embedding(mixed)
+
+        for score in ("1.5", "-0.5"):
+            outside = tmp_path / "outside.csv"
+            outside.write_text(f"gen,idx,e1,e2,score,space,stride\n0,0,1.0,2.0,0.5,search,1\n0,1,1.0,2.0,{score},search,1\n")
+            with pytest.raises(MalformedRecordError, match=rf"line 3: score {score} outside \[0, 1\]"):
+                read_embedding(outside)
 
         empty = tmp_path / "empty.csv"
         empty.write_text("gen,idx,e1,e2,score,space,stride\n")
@@ -675,7 +691,8 @@ def row_by_row_read_embedding(path):
 
     Non-finite reals are refused on their line, and so are an unknown space
     or a stride below 1 on line 2, a space or stride that differs from line
-    2's, and a negative gen or idx, as the column reader refuses them.
+    2's, a negative gen or idx, and a score outside [0, 1], as the column
+    reader refuses them.
     """
     lines = emit._read_lines(path)
     if not lines or lines[0] != emit.EMBEDDING_CSV_HEADER:
@@ -709,6 +726,9 @@ def row_by_row_read_embedding(path):
     for lineno, (g, i) in enumerate(zip(gens, idxs), start=2):
         if g < 0 or i < 0:
             raise MalformedRecordError(f"{path}: line {lineno}: gen and idx must be non-negative")
+    for lineno, score in enumerate(scores, start=2):
+        if not 0 <= score <= 1:
+            raise MalformedRecordError(f"{path}: line {lineno}: score {score} outside [0, 1]")
     embedding = Embedding(
         space=space,
         e1=np.array(e1s),
@@ -804,7 +824,10 @@ def corrupted(draw, rows, kinds, faults):
 
 
 natural_texts = spelled(NON_NEGATIVE_INT64, INT_SPELLINGS)
-embedding_fields = st.tuples(natural_texts, natural_texts, float_texts, float_texts, float_texts)
+# Mostly scores in [0, 1], its edges included, and some outside it.
+score_texts = spelled(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 1.5]),
+                                st.floats()), FLOAT_SPELLINGS)
+embedding_fields = st.tuples(natural_texts, natural_texts, float_texts, float_texts, score_texts)
 
 
 @st.composite

@@ -272,6 +272,9 @@ class TestReferenceDirections:
             ReferenceDirectionSet(np.array([[1.0, 0.0]]), partitions=1)  # count mismatch
         with pytest.raises(ContractError, match="non-negative and sum to 1"):
             ReferenceDirectionSet([[np.nan, np.nan], [0.0, 1.0]], partitions=1)
+        for partitions in (1.5, True, 0):
+            with pytest.raises(ContractError, match="partition count must be a positive integer"):
+                ReferenceDirectionSet([[0.5, 0.5], [1.0, 0.0]], partitions=partitions)
 
     @pytest.mark.parametrize("directions, message", [
         ([[0.5, 0.5], [1.0]], "equal-length rows of numbers"),
@@ -657,4 +660,37 @@ class TestSelectionMatchesOwnFillLoops:
         got = nsga3_select(y, target, directions, rng=rng)
         assert got == own_fill_nsga3_select(y, target, directions, oracle_rng)
         assert {type(i) for i in got} == {int}
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    # Front 0 is the two axis points, one per direction of das_dennis(2, 1);
+    # the second front has one candidate for the (1, 0) direction, listed
+    # first, and three for (0, 1).
+    LEVEL_FRONTS = np.array([(0, 1), (1, 0), (1.5, 0.2), (0.2, 1.5), (0.1, 1.7), (0.3, 1.45)])
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("target", [3, 5], ids=["starts-at-level-1", "level-1-runs-out"])
+    def test_niching_levels_above_zero(self, seed, target):
+        """Both directions already hold a survivor, so no pick is at level 0.
+
+        With target 5, level 1 gives one member per direction and runs out with one
+        more to go; level 2 is then the (0, 1) direction alone.
+        """
+        directions = das_dennis(2, 1)
+        oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = nsga3_select(self.LEVEL_FRONTS, target, directions, rng=rng)
+        assert got == own_fill_nsga3_select(self.LEVEL_FRONTS, target, directions, oracle_rng)
+        assert got[:2] == [0, 1]
+        if target == 5:
+            assert 2 in got[2:4]  # (1, 0)'s only candidate is admitted at level 1
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_niching_level_0_runs_out(self, seed):
+        """One non-dominated front: level 0 admits both axis points, then level 1 takes the rest."""
+        y = np.array([(0, 1), (1, 0), (0.1, 0.9), (0.9, 0.1), (0.2, 0.8)])
+        directions = das_dennis(2, 1)
+        oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = nsga3_select(y, 4, directions, rng=rng)
+        assert got == own_fill_nsga3_select(y, 4, directions, oracle_rng)
+        assert sorted(got[:2]) == [0, 1]
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
