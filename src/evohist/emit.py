@@ -55,9 +55,12 @@ FORMAT_VERSION = 1
 AZIMUTH_DEG = 45.0
 ELEVATION_DEG = 25.0
 
-# The one canvas every figure is drawn on, in pixels, and the two lines that open its SVG.
+# The one canvas every figure is drawn on, in pixels, the margin around its plot area, and the two lines of its SVG.
 WIDTH_PX = 900
 HEIGHT_PX = 700
+_MARGIN = 70.0
+_PLOT_W = WIDTH_PX - 2 * _MARGIN
+_PLOT_H = HEIGHT_PX - 2 * _MARGIN
 _SVG_OPEN = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
              f'width="{WIDTH_PX}" height="{HEIGHT_PX}" viewBox="0 0 {WIDTH_PX} {HEIGHT_PX}">\n'
              f'<rect x="0" y="0" width="{WIDTH_PX}" height="{HEIGHT_PX}" fill="#ffffff"/>')
@@ -236,6 +239,10 @@ def _read_header(path, lines: list[str] | None = None) -> dict:
     return run_fields
 
 
+class _IntLiteral(float):
+    """A JSON integer literal, read as a float so that the ``-0`` that ``%.17g`` prints for -0.0 keeps its sign."""
+
+
 def read_history(path) -> RunHistory:
     """Parse a file written by write_history back into a RunHistory.
 
@@ -250,16 +257,17 @@ def read_history(path) -> RunHistory:
     run_fields = _read_header(path, lines)
     generations = []
     for lineno, text in enumerate(lines[1:], start=2):
-        # %.17g prints -0.0 as "-0", an integer literal; read as a float it keeps its sign.
-        record = _parse_record(path, lineno, text, parse_int=float)
+        record = _parse_record(path, lineno, text, parse_int=_IntLiteral)
         for key in ("gen", "x", "y"):
             if key not in record:
                 raise MalformedRecordError(f"{path}: line {lineno}: generation record missing {key!r}")
+        if type(record["gen"]) is not _IntLiteral:
+            raise MalformedRecordError(f"{path}: line {lineno}: 'gen' is not an integer: {record['gen']!r}")
         try:
             generations.append(GenerationRecord(record["gen"], record["x"], record["y"]))
             _check_generation(generations[-1], lineno - 2, run_fields["M"], run_fields["D"],
                               run_fields["population_size"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ContractError(f"{path}: line {lineno}: {exc}") from None
     if not generations:
         raise MalformedRecordError(f"{path}: line 2: no generation records after the header")
@@ -279,19 +287,19 @@ def _point_scores(embedding: Embedding, scores) -> np.ndarray:
     return scores
 
 
-def _interleave(*columns: np.ndarray) -> list:
-    """Row-major values of equal-length columns, as Python numbers for a ``%`` template."""
-    flat = [None] * (len(columns) * len(columns[0]))
+def _rows(template: str, *columns: np.ndarray) -> str:
+    """``template`` once per row of equal-length columns, filled by one ``%`` with their values as Python numbers."""
+    values = [None] * (len(columns) * len(columns[0]))
     for k, column in enumerate(columns):
-        flat[k :: len(columns)] = column.tolist()
-    return flat
+        values[k :: len(columns)] = column.tolist()
+    return (template * len(columns[0])) % tuple(values)
 
 
 def _write_table(path, header: str, row_template: str, columns) -> None:
     """Write a CSV: the header line, then one ``%`` template line per row of equal-length columns."""
     with open_atomic(path) as fh:
         fh.write(header + "\n")
-        fh.write((row_template * len(columns[0])) % tuple(_interleave(*columns)))
+        fh.write(_rows(row_template, *columns))
 
 
 def _columns(rows: list[str], kinds) -> list:
@@ -434,6 +442,21 @@ def _ticks(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, 5)
 
 
+def _svg(lines, labels, marks: str) -> str:
+    """An SVG document in the layout both figures share: canvas, grey frame lines, labels, then the marks.
+
+    ``lines`` holds (x1, y1, x2, y2) and ``labels`` (x, y, attributes, text)
+    per element, in pixels; ``marks`` is SVG text ending in a line break.
+    """
+    return "".join([
+        _SVG_OPEN, '\n<g stroke="#666666" stroke-width="1" fill="none">\n',
+        *(f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}"/>\n' for x1, y1, x2, y2 in lines),
+        '</g>\n<g font-family="sans-serif" font-size="11" fill="#333333">\n',
+        *(f'<text x="{_px(x)}" y="{_px(y)}"{attributes}>{text}</text>\n' for x, y, attributes, text in labels),
+        "</g>\n", marks, "</svg>\n",
+    ])
+
+
 def render_history_figure(embedding: Embedding, scores) -> str:
     """Static SVG of the embedded history as a projected 3-D scatter.
 
@@ -444,112 +467,57 @@ def render_history_figure(embedding: Embedding, scores) -> str:
     one score per point.
     """
     scores = _point_scores(embedding, scores)
+    n, gen_max = embedding.n_points, int(embedding.generation.max())
+    z = embedding.generation / max(gen_max, 1)
+    # Under the points: the origin, then per axis its five ticks and its end, the origin moved to that axis's top.
+    origin = np.array([embedding.e1.min(), embedding.e2.min(), 0.0])
+    top = np.array([embedding.e1.max(), embedding.e2.max(), 1.0])
+    ends = np.where(np.eye(3, dtype=bool), top, origin)
+    steps = np.linspace(0.0, 1.0, 5)[:, None]
+    xyz = np.vstack([np.column_stack([embedding.e1, embedding.e2, z]), origin,
+                     *(np.vstack([origin + steps * (end - origin), end]) for end in ends)])
+    u, v = _project(xyz[:, 0], xyz[:, 1], xyz[:, 2])
+    span_u, span_v = max(u.max() - u.min(), 1e-12), max(v.max() - v.min(), 1e-12)
+    scale = min(_PLOT_W / span_u, _PLOT_H / span_v)
+    px = _MARGIN + (u - u.min()) * scale + (_PLOT_W - span_u * scale) / 2
+    py = HEIGHT_PX - _MARGIN - (v - v.min()) * scale - (_PLOT_H - span_v * scale) / 2
 
-    gen_max = int(embedding.generation.max())
-    z = embedding.generation / gen_max if gen_max > 0 else np.zeros(embedding.n_points)
-    u_pts, v_pts = _project(embedding.e1, embedding.e2, z)
-
-    x_lo, x_hi = float(embedding.e1.min()), float(embedding.e1.max())
-    y_lo, y_hi = float(embedding.e2.min()), float(embedding.e2.max())
-    axes = []  # (name, start xyz, end xyz, tick values, tick positions)
-    for name, start, end, values in (
-        ("e1", (x_lo, y_lo, 0.0), (x_hi, y_lo, 0.0), _ticks(x_lo, x_hi)),
-        ("e2", (x_lo, y_lo, 0.0), (x_lo, y_hi, 0.0), _ticks(y_lo, y_hi)),
-        ("gen", (x_lo, y_lo, 0.0), (x_lo, y_lo, 1.0), _ticks(0, max(gen_max, 1))),
-    ):
-        start = np.array(start)
-        end = np.array(end)
-        steps = np.linspace(0.0, 1.0, values.size)[:, None]
-        ticks_xyz = start + steps * (end - start)
-        axes.append((name, start, end, values, ticks_xyz))
-
-    frame_xyz = np.vstack([np.vstack([a[1], a[2], a[4]]) for a in axes])
-    u_frame, v_frame = _project(frame_xyz[:, 0], frame_xyz[:, 1], frame_xyz[:, 2])
-    u_all = np.concatenate([u_pts, u_frame])
-    v_all = np.concatenate([v_pts, v_frame])
-    u_lo, u_hi = float(u_all.min()), float(u_all.max())
-    v_lo, v_hi = float(v_all.min()), float(v_all.max())
-    margin = 70.0
-    span_u = max(u_hi - u_lo, 1e-12)
-    span_v = max(v_hi - v_lo, 1e-12)
-    scale = min((WIDTH_PX - 2 * margin) / span_u, (HEIGHT_PX - 2 * margin) / span_v)
-
-    def place(u, v):
-        px = margin + (u - u_lo) * scale + ((WIDTH_PX - 2 * margin) - span_u * scale) / 2
-        py = HEIGHT_PX - margin - (v - v_lo) * scale - (
-            (HEIGHT_PX - 2 * margin) - span_v * scale
-        ) / 2
-        return px, py
-
-    parts = [_SVG_OPEN]
-    parts.append('<g stroke="#666666" stroke-width="1" fill="none">')
-    for name, start, end, values, ticks_xyz in axes:
-        x0, y0 = place(*_project(start[0], start[1], start[2]))
-        x1, y1 = place(*_project(end[0], end[1], end[2]))
-        parts.append(f'<line x1="{_px(x0)}" y1="{_px(y0)}" x2="{_px(x1)}" y2="{_px(y1)}"/>')
-    parts.append("</g>")
-    parts.append('<g font-family="sans-serif" font-size="11" fill="#333333">')
-    for name, start, end, values, ticks_xyz in axes:
-        tu, tv = _project(ticks_xyz[:, 0], ticks_xyz[:, 1], ticks_xyz[:, 2])
-        for value, uu, vv in zip(values, tu, tv):
-            px, py = place(float(uu), float(vv))
-            parts.append(f'<text x="{_px(px + 4)}" y="{_px(py - 3)}">{format(value, ".3g")}</text>')
-        px, py = place(*_project(end[0], end[1], end[2]))
-        parts.append(f'<text x="{_px(px + 10)}" y="{_px(py + 4)}" font-size="13">{name}</text>')
-    parts.append("</g>")
-
-    # place() is the same float64 arithmetic on arrays as on scalars, and
-    # "%.2f" prints a float as _px does.
-    px_pts, py_pts = place(u_pts, v_pts)
-    rgb = _colours(scores)
-    circle = '<circle cx="%.2f" cy="%.2f" r="2.5" fill="rgb(%d,%d,%d)"/>'
-    parts.append("\n".join([circle] * embedding.n_points) % tuple(_interleave(px_pts, py_pts, *rgb.T)))
-    arm = 4.0
+    # Each axis is labelled by its five tick values, then by its name beyond its end.
+    texts = []
+    for lo, hi, name in zip(origin, (top[0], top[1], max(gen_max, 1)), ("e1", "e2", "gen")):
+        texts += [format(value, ".3g") for value in _ticks(lo, hi)] + [name]
+    is_name = np.tile([False] * 5 + [True], 3)
+    labels = zip(px[n + 1:] + np.where(is_name, 10, 4), py[n + 1:] + np.where(is_name, 4, -3),
+                 np.where(is_name, ' font-size="13"', ""), texts)
+    lines = [(px[n], py[n], px[end], py[end]) for end in n + 6 * np.arange(1, 4)]
     final = embedding.generation == gen_max
-    for px, py in zip(px_pts[final].tolist(), py_pts[final].tolist()):
-        parts.append(
-            f'<path class="final-cross" d="M {_px(px - arm)} {_px(py - arm)} L {_px(px + arm)} '
-            f'{_px(py + arm)} M {_px(px - arm)} {_px(py + arm)} L {_px(px + arm)} {_px(py - arm)}" '
-            f'stroke="#ffffff" stroke-width="1.5" fill="none"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    x, y = px[:n][final], py[:n][final]
+    arm = 4.0
+    marks = (_rows('<circle cx="%.2f" cy="%.2f" r="2.5" fill="rgb(%d,%d,%d)"/>\n', px[:n], py[:n], *_colours(scores).T)
+             + _rows('<path class="final-cross" d="M %.2f %.2f L %.2f %.2f M %.2f %.2f L %.2f %.2f" '
+                     'stroke="#ffffff" stroke-width="1.5" fill="none"/>\n',
+                     x - arm, y - arm, x + arm, y + arm, x - arm, y + arm, x + arm, y - arm))
+    return _svg(lines, labels, marks)
 
 
 def render_hv_figure(trace: HypervolumeTrace) -> str:
     """Static SVG line chart of hypervolume against generation."""
     n = len(trace)
-    margin = 70.0
-    plot_w = WIDTH_PX - 2 * margin
-    plot_h = HEIGHT_PX - 2 * margin
     lo, hi = float(trace.values.min()), float(trace.values.max())
     span = hi - lo
+    bottom = HEIGHT_PX - _MARGIN
 
-    def place(t: float, value: float) -> tuple[float, float]:
-        px = margin + (plot_w * t / (n - 1) if n > 1 else plot_w / 2)
-        frac = (value - lo) / span if span > 0 else 0.5
-        return px, HEIGHT_PX - margin - frac * plot_h
+    def place(t: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        px = _MARGIN + _PLOT_W * t / (n - 1) if n > 1 else np.full(t.shape, _MARGIN + _PLOT_W / 2)
+        frac = (values - lo) / span if span > 0 else np.full(values.shape, 0.5)
+        return px, bottom - frac * _PLOT_H
 
-    parts = [_SVG_OPEN]
-    x_axis_y = HEIGHT_PX - margin
-    parts.append('<g stroke="#666666" stroke-width="1" fill="none">')
-    parts.append(
-        f'<line x1="{_px(margin)}" y1="{_px(x_axis_y)}" '
-        f'x2="{_px(WIDTH_PX - margin)}" y2="{_px(x_axis_y)}"/>'
-    )
-    parts.append(f'<line x1="{_px(margin)}" y1="{_px(margin)}" x2="{_px(margin)}" y2="{_px(x_axis_y)}"/>')
-    parts.append("</g>")
-    parts.append('<g font-family="sans-serif" font-size="11" fill="#333333">')
-    for value in _ticks(0, n - 1):
-        px = place(value, lo)[0]
-        parts.append(f'<text x="{_px(px)}" y="{_px(x_axis_y + 16)}">{format(value, ".3g")}</text>')
-    for value in _ticks(lo, hi):
-        py = place(0, value)[1]
-        parts.append(f'<text x="{_px(margin - 50)}" y="{_px(py + 4)}">{format(value, ".4g")}</text>')
-    parts.append(f'<text x="{_px(margin + plot_w / 2)}" y="{_px(x_axis_y + 34)}" font-size="13">gen</text>')
-    parts.append(f'<text x="{_px(12)}" y="{_px(margin - 10)}" font-size="13">hypervolume</text>')
-    parts.append("</g>")
-    coords = " ".join(",".join(map(_px, place(t, v))) for t, v in enumerate(trace.values))
-    parts.append(f'<polyline points="{coords}" fill="none" stroke="#1f6f8b" stroke-width="1.5"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    gens, hvs = _ticks(0, n - 1), _ticks(lo, hi)
+    tick_x, tick_y = place(gens, hvs)
+    labels = [*((x, bottom + 16, "", format(t, ".3g")) for x, t in zip(tick_x, gens)),
+              *((_MARGIN - 50, y + 4, "", format(hv, ".4g")) for y, hv in zip(tick_y, hvs)),
+              (_MARGIN + _PLOT_W / 2, bottom + 34, ' font-size="13"', "gen"),
+              (12, _MARGIN - 10, ' font-size="13"', "hypervolume")]
+    lines = [(_MARGIN, bottom, WIDTH_PX - _MARGIN, bottom), (_MARGIN, _MARGIN, _MARGIN, bottom)]
+    points = _rows("%.2f,%.2f ", *place(np.arange(n), trace.values))[:-1]
+    return _svg(lines, labels, f'<polyline points="{points}" fill="none" stroke="#1f6f8b" stroke-width="1.5"/>\n')

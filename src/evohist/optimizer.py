@@ -80,6 +80,12 @@ class RunConfig:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
+def _check_partitions(p) -> None:
+    """``p`` is a partition count: a positive int, and not a bool."""
+    if type(p) is bool or not isinstance(p, int) or p < 1:
+        raise ContractError(f"partition count must be a positive integer, got {p!r}")
+
+
 @dataclass(frozen=True)
 class ReferenceDirectionSet:
     """Unit-simplex directions used by NSGA-III niching, plus the partition count."""
@@ -91,8 +97,7 @@ class ReferenceDirectionSet:
         dirs = _matrix(self.directions, None, "reference direction")
         if dirs.shape[1] < 2:
             raise ContractError("reference directions must form an (n, M) matrix with M >= 2")
-        if type(self.partitions) is bool or not isinstance(self.partitions, int) or self.partitions < 1:
-            raise ContractError(f"partition count must be a positive integer, got {self.partitions!r}")
+        _check_partitions(self.partitions)
         if not ((dirs >= 0).all() and (np.abs(dirs.sum(axis=1) - 1.0) <= 1e-12).all()):
             raise ContractError("each reference direction must be non-negative and sum to 1")
         expected = comb(dirs.shape[1] + self.partitions - 1, self.partitions)
@@ -252,8 +257,9 @@ def das_dennis(M: int, p: int) -> ReferenceDirectionSet:
     non-negative multiples of 1/p summing to 1; there are C(M+p-1, p) of
     them.
     """
-    if M < 2 or p < 1:
-        raise ContractError(f"das_dennis needs M >= 2 and p >= 1, got M={M}, p={p}")
+    _check_partitions(p)
+    if M < 2:
+        raise ContractError(f"das_dennis needs M >= 2, got M={M}")
     count = comb(M + p - 1, p)
     if count > _MAX_DIRECTIONS:
         raise ConfigError(f"M={M}, p={p} would generate {count} directions (limit {_MAX_DIRECTIONS})")
@@ -353,8 +359,6 @@ def nsga3_select(population, target_size: int, directions: ReferenceDirectionSet
     list draws nothing.
     """
     y = objective_matrix(population)
-    if len(directions) < 1:
-        raise ContractError("nsga3_select needs at least one reference direction")
     if y.shape[1] != directions.directions.shape[1]:
         raise ContractError("reference directions and objectives disagree on M")
     selected, last = _fill(y, target_size)

@@ -697,11 +697,14 @@ def test_command_leaves_numpy_ma_and_random_out(artifacts, tmp_path, command):
 
 
 def rewrite_generation(history, lineno, edit, out):
-    """Copy ``history`` to ``out`` with ``edit`` applied to the generation record on line ``lineno``."""
+    """Copy ``history`` to ``out`` with ``edit`` applied to the generation record on line ``lineno``.
+
+    An edit that returns a string gives the new line's text itself.
+    """
     lines = history.read_text().splitlines()
     record = json.loads(lines[lineno - 1])
-    edit(record)
-    lines[lineno - 1] = json.dumps(record)
+    text = edit(record)
+    lines[lineno - 1] = text if isinstance(text, str) else json.dumps(record)
     out.write_text("\n".join(lines) + "\n")
 
 
@@ -712,7 +715,12 @@ def rewrite_generation(history, lineno, edit, out):
     (5, lambda r: r.update(x=[row[:-1] for row in r["x"]]), "generation 3 does not match the declared D/M dimensions"),
     (2, lambda r: r["x"][4].__setitem__(0, -1e-300), "decision variable 0 = -1e-300 lies outside [0, 1]"),
     (6, lambda r: r["y"][2].__setitem__(1, float("inf")), "objective 1 = inf in row 2 is not finite"),
-], ids=["nan-variable", "member-count", "objective-count", "variable-count", "below-box", "infinite-objective"])
+    (3, lambda r: r.update(gen=True), "'gen' is not an integer: True"),
+    (3, lambda r: r.update(gen=1.0), "'gen' is not an integer: 1.0"),
+    (3, lambda r: json.dumps(r).replace('"gen": 1,', '"gen": 1e0,'), "'gen' is not an integer: 1.0"),
+    (3, lambda r: r.update(gen=10**400), "cannot convert float infinity to integer"),
+], ids=["nan-variable", "member-count", "objective-count", "variable-count", "below-box", "infinite-objective",
+        "gen-true", "gen-real", "gen-exponent", "gen-beyond-float"])
 @pytest.mark.parametrize("command", ["embed", "hv"])
 def test_bad_generation_is_one_error_line(artifacts, tmp_path, capsys, command, lineno, edit, message):
     """A generation that breaks a record rule or the header stops embed and hv with exit 1, naming file and line."""

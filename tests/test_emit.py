@@ -678,6 +678,76 @@ class TestArrayAtOnceOracles:
             assert (tmp_path / "e.csv").read_bytes() == per_point_embedding_csv(embedding, scores).encode()
 
 
+def per_generation_hv_figure(trace):
+    """render_hv_figure as it placed and printed one generation at a time."""
+    def px_text(value):
+        return format(value, ".2f")
+
+    n = len(trace)
+    width_px, height_px, margin = 900, 700, 70.0
+    plot_w = width_px - 2 * margin
+    plot_h = height_px - 2 * margin
+    lo, hi = float(trace.values.min()), float(trace.values.max())
+    span = hi - lo
+
+    def place(t, value):
+        px = margin + (plot_w * t / (n - 1) if n > 1 else plot_w / 2)
+        frac = (value - lo) / span if span > 0 else 0.5
+        return px, height_px - margin - frac * plot_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width_px}" height="{height_px}" viewBox="0 0 {width_px} {height_px}">',
+        f'<rect x="0" y="0" width="{width_px}" height="{height_px}" fill="#ffffff"/>',
+    ]
+    x_axis_y = height_px - margin
+    parts.append('<g stroke="#666666" stroke-width="1" fill="none">')
+    parts.append(
+        f'<line x1="{px_text(margin)}" y1="{px_text(x_axis_y)}" '
+        f'x2="{px_text(width_px - margin)}" y2="{px_text(x_axis_y)}"/>'
+    )
+    parts.append(f'<line x1="{px_text(margin)}" y1="{px_text(margin)}" x2="{px_text(margin)}" '
+                 f'y2="{px_text(x_axis_y)}"/>')
+    parts.append("</g>")
+    parts.append('<g font-family="sans-serif" font-size="11" fill="#333333">')
+    for value in np.linspace(0, n - 1, 5):
+        px = place(value, lo)[0]
+        parts.append(f'<text x="{px_text(px)}" y="{px_text(x_axis_y + 16)}">{format(value, ".3g")}</text>')
+    for value in np.linspace(lo, hi, 5):
+        py = place(0, value)[1]
+        parts.append(f'<text x="{px_text(margin - 50)}" y="{px_text(py + 4)}">{format(value, ".4g")}</text>')
+    parts.append(f'<text x="{px_text(margin + plot_w / 2)}" y="{px_text(x_axis_y + 34)}" font-size="13">gen</text>')
+    parts.append(f'<text x="{px_text(12)}" y="{px_text(margin - 10)}" font-size="13">hypervolume</text>')
+    parts.append("</g>")
+    coords = " ".join(",".join(map(px_text, place(t, v))) for t, v in enumerate(trace.values))
+    parts.append(f'<polyline points="{coords}" fill="none" stroke="#1f6f8b" stroke-width="1.5"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+hv_values = st.one_of(st.floats(0.0, 1e300), st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 1e300, 1.0]))
+hv_traces = st.one_of(
+    st.lists(hv_values, min_size=1, max_size=300),
+    st.builds(lambda value, n: [value] * n, hv_values, st.integers(1, 300)),
+)
+
+
+class TestHvFigureOracle:
+    """The placed-at-once hv chart gives exactly the per-generation code's bytes."""
+
+    @given(hv_traces)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_generation(self, values):
+        trace = HypervolumeTrace(None, np.array(values))
+        assert render_hv_figure(trace) == per_generation_hv_figure(trace)
+
+    @pytest.mark.parametrize("values", [[0.25], [0.3] * 3, [0.0, 5e-324, 1e300], [-0.0, 0.0], [5e-324] * 2],
+                             ids=["one", "constant", "extremes", "signed-zeros", "subnormal"])
+    def test_edge_traces(self, values):
+        trace = HypervolumeTrace(None, np.array(values))
+        assert render_hv_figure(trace) == per_generation_hv_figure(trace)
+
+
 def finite(text):
     """float(text), refusing nan and ±inf as the CSV readers do."""
     value = float(text)

@@ -11,7 +11,9 @@ hypervolume digests are still those of the 3-D sweep of that time.  The
 M=5 one was retaken when the 4-D sweep replaced re-sweeping every prefix
 of the fourth objective; two of its three values moved in the last bit
 (at most 1.8e-16 relative).  The figure digests were taken from the
-per-point colour ramp and circle loop.  Any drift fails here.
+per-point colour ramp and circle loop, and still hold now that the
+circles, the final-generation crosses and the hypervolume polyline each
+come from one ``%`` template over whole arrays.  Any drift fails here.
 """
 
 import hashlib

@@ -261,6 +261,11 @@ class TestReferenceDirections:
             got, expected = das_dennis(M, p).directions, recursive_das_dennis(M, p)
             assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
 
+    @pytest.mark.parametrize("p", [1.5, True, 0])
+    def test_lattice_refuses_non_partition_counts(self, p):
+        with pytest.raises(ContractError, match="partition count must be a positive integer"):
+            das_dennis(3, p)
+
     def test_direction_count_limit(self):
         with pytest.raises(ConfigError):
             das_dennis(10, 20)
