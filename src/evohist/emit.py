@@ -5,7 +5,7 @@ digits so every float64 round-trips bit-exactly):
 
 * History: JSON lines.  Line 1 is a header record carrying the full run
   configuration plus ``format_version`` and the RNG algorithm tag; each
-  later line is one generation ``{"gen": t, "x": [[...]], "y": [[...]]}``.
+  later line is one generation laid out as ``{"gen": t, "x": [[...]], "y": [[...]]}``.
 * Embedding: CSV with header ``gen,idx,e1,e2,score,space,stride``.
 * Hypervolume trace: CSV with header ``gen,hv``.
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from contextlib import contextmanager, suppress
 from dataclasses import fields
 
@@ -86,31 +87,20 @@ class MalformedRecordError(HistoryFormatError):
     """A specific line failed to parse; the message names the line."""
 
 
-def _fmt_rows(rows: np.ndarray) -> list[str]:
-    """Each row of a matrix as a JSON list of 17-significant-digit reals.
-
-    One ``%.17g`` template covers the whole matrix; its output never holds
-    a line break, so the rows split apart on the ones the template adds.
-    """
-    n, m = rows.shape
-    row = "[" + ", ".join(["%.17g"] * m) + "]\n"
-    return ((row * n) % tuple(rows.ravel().tolist())).splitlines()
-
-
 def _row_texts(rows: np.ndarray, previous: dict[bytes, str]) -> tuple[list[str], dict[bytes, str]]:
-    """Text of every row, reusing ``previous`` for rows seen there.
+    """Text of every row as a JSON list of ``%.17g`` reals, reusing ``previous`` for rows seen there.
 
     Rows are keyed by their raw float64 bytes, so a hit is the same bits
     and prints the same text; ``-0.0`` and ``0.0`` stay distinct keys.
-    Only the rows ``previous`` lacks go through ``_fmt_rows``, in one call.
-    Returns the texts and the key → text map to pass in for the next
-    matrix.
+    Only the rows ``previous`` lacks go through ``_rows``, in one call.
+    Returns the texts and the key → text map to pass in for the next one.
     """
     rows = np.ascontiguousarray(rows, dtype=float)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0].tolist()
     texts = list(map(previous.get, keys))
     new = [i for i, text in enumerate(texts) if text is None]
-    for i, text in zip(new, _fmt_rows(rows[new])):
+    template = "[" + ", ".join(["%.17g"] * rows.shape[1]) + "]\n"
+    for i, text in zip(new, _rows(template, *rows[new].T).splitlines()):
         texts[i] = text
     return texts, dict(zip(keys, texts))
 
@@ -191,20 +181,6 @@ def write_history(history: RunHistory, path) -> None:
             fh.write(f'{{"gen": {rec.generation}, "x": [{", ".join(x_texts)}], "y": [{", ".join(y_texts)}]}}\n')
 
 
-def _parse_record(path, lineno: int, text: str, parse_int=int) -> dict:
-    """One history line as a JSON object; anything else is malformed, naming the line.
-
-    ``parse_int`` converts integer literals, as in ``json.loads``.
-    """
-    try:
-        record = json.loads(text, parse_int=parse_int)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"{path}: line {lineno}: {exc.msg}") from None
-    if not isinstance(record, dict):
-        raise MalformedRecordError(f"{path}: line {lineno}: expected a JSON object")
-    return record
-
-
 def _read_header(path, lines: list[str] | None = None) -> dict:
     """The run fields of a history's header line, ``operators`` included, as RunHistory takes them.
 
@@ -216,7 +192,12 @@ def _read_header(path, lines: list[str] | None = None) -> dict:
     lines = _read_lines(path, first_only=True) if lines is None else lines
     if not lines:
         raise MalformedRecordError(f"{path}: line 1: empty file, expected a header record")
-    header = _parse_record(path, 1, lines[0])
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise MalformedRecordError(f"{path}: line 1: {exc.msg}") from None
+    if not isinstance(header, dict):
+        raise MalformedRecordError(f"{path}: line 1: expected a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatVersionError(
@@ -239,36 +220,53 @@ def _read_header(path, lines: list[str] | None = None) -> dict:
     return run_fields
 
 
-class _IntLiteral(float):
-    """A JSON integer literal, read as a float so that the ``-0`` that ``%.17g`` prints for -0.0 keeps its sign."""
+# A generation line cut at the separators write_history joins it with:
+# ``gen`` as ``%d`` prints an index, then each matrix between ``[[`` and ``]]``.
+_GENERATION_LINE = re.compile(r'\{"gen": (0|[1-9][0-9]*), "x": \[\[([^"]*)\]\], "y": \[\[([^"]*)\]\]\}')
+
+
+def _parse_matrix(text: str) -> np.ndarray:
+    """A matrix as write_history prints it between ``[[`` and ``]]``: rows joined by ``], [``, values by ``, ``.
+
+    Each space must be a separator's: every row holds the same number of
+    spaces, and the values number one more than that per row.  Raises
+    ValueError otherwise, on ``_``, a tab or non-ASCII text, which numpy's
+    float parser skips or reads, and on a value it cannot read.
+    """
+    rows = text.split("], [")
+    values = ", ".join(rows).split(", ")
+    spaces = {row.count(" ") for row in rows}
+    if len(spaces) != 1 or len(values) != len(rows) * (spaces.pop() + 1):
+        raise ValueError("matrix rows differ in length or hold a space outside a separator")
+    if not text.isascii() or "_" in text or "\t" in text:
+        raise ValueError("a value holds '_', a tab or a non-ASCII character")
+    return np.array(values, dtype=float).reshape(len(rows), -1)
 
 
 def read_history(path) -> RunHistory:
     """Parse a file written by write_history back into a RunHistory.
 
+    Each generation line must be laid out as write_history writes it.
     Raises FormatVersionError on a version mismatch, MalformedRecordError
-    on bytes that are not UTF-8 and (naming the line) on unparseable lines
-    or missing or mistyped fields, and ContractError naming the line on a
-    generation that breaks a record invariant or does not fit the header:
-    out of order, a member count other than the population size, or
-    vectors of other than D and M entries.
+    on bytes that are not UTF-8 and (naming the line) on a bad header or a
+    line laid out any other way, and ContractError naming the line on a
+    generation that breaks a record invariant or does not fit the header.
     """
     lines = _read_lines(path)
     run_fields = _read_header(path, lines)
     generations = []
     for lineno, text in enumerate(lines[1:], start=2):
-        record = _parse_record(path, lineno, text, parse_int=_IntLiteral)
-        for key in ("gen", "x", "y"):
-            if key not in record:
-                raise MalformedRecordError(f"{path}: line {lineno}: generation record missing {key!r}")
-        if type(record["gen"]) is not _IntLiteral:
-            raise MalformedRecordError(f"{path}: line {lineno}: 'gen' is not an integer: {record['gen']!r}")
+        line = _GENERATION_LINE.fullmatch(text)
         try:
-            generations.append(GenerationRecord(record["gen"], record["x"], record["y"]))
+            if line is None:
+                raise ValueError('expected {"gen": t, "x": [[...]], "y": [[...]]} as write_history writes it')
+            generations.append(GenerationRecord(int(line[1]), _parse_matrix(line[2]), _parse_matrix(line[3])))
             _check_generation(generations[-1], lineno - 2, run_fields["M"], run_fields["D"],
                               run_fields["population_size"])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ContractError as exc:
             raise ContractError(f"{path}: line {lineno}: {exc}") from None
+        except ValueError as exc:
+            raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
     if not generations:
         raise MalformedRecordError(f"{path}: line 2: no generation records after the header")
     return RunHistory(**run_fields, generations=tuple(generations))
@@ -298,23 +296,26 @@ def _rows(template: str, *columns: np.ndarray) -> str:
 def _write_table(path, header: str, row_template: str, columns) -> None:
     """Write a CSV: the header line, then one ``%`` template line per row of equal-length columns."""
     with open_atomic(path) as fh:
-        fh.write(header + "\n")
-        fh.write(_rows(row_template, *columns))
+        fh.write(header + "\n" + _rows(row_template, *columns))
 
 
 def _columns(rows: list[str], kinds) -> list:
     """CSV rows as one column per kind: ``int`` and ``float`` through Python's own into int64 and float64 arrays.
 
     A ``str`` column stays as its texts.  A row without one field per
-    kind, a text its kind rejects, or a non-finite ``float`` (``nan``,
-    ``inf``, ``1e999``) raises ValueError; an integer beyond int64 raises
-    OverflowError.
+    kind, a field with ``_``, whitespace or non-ASCII text (which Python's
+    ``int`` and ``float`` skip or read), a text its kind rejects, or a
+    non-finite ``float`` (``nan``, ``inf``, ``1e999``) raises ValueError;
+    an integer beyond int64 raises OverflowError.
     """
     k = len(kinds)
     for row in rows:
         if row.count(",") != k - 1:
             raise ValueError(f"expected {k} fields, got {row.count(',') + 1}")
-    texts = ",".join(rows).split(",")
+    text = ",".join(rows)
+    if not text.isascii() or "_" in text or text.split() != [text]:
+        raise ValueError("a field holds '_', whitespace or a non-ASCII character")
+    texts = text.split(",")
     columns = [texts[c::k] if kind is str else np.fromiter(map(kind, texts[c::k]), np.int64 if kind is int else float)
                for c, kind in enumerate(kinds)]
     for c, kind in enumerate(kinds):
@@ -345,6 +346,13 @@ def _read_table(path, header: str, kinds) -> list:
         raise
 
 
+def _refuse_rows(path, bad: np.ndarray, message: str, *columns) -> None:
+    """Raise MalformedRecordError naming the line of the first row where ``bad`` holds; ``columns`` fill ``message``."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise MalformedRecordError(f"{path}: line {rows[0] + 2}: " + message.format(*(c[rows[0]] for c in columns)))
+
+
 def write_embedding(embedding: Embedding, scores, path) -> None:
     """Write an embedding plus its exploration scores, one per point, as CSV.
 
@@ -361,8 +369,9 @@ def read_embedding(path) -> tuple[Embedding, np.ndarray]:
     """Parse an embedding CSV back into (Embedding, score array).
 
     Every row is parsed first; then line 2's space and positive stride are
-    checked, every later row must repeat them, no ``gen`` or ``idx`` may
-    be negative, and every score must lie in [0, 1].
+    checked, every later row must repeat them, no ``gen`` or ``idx`` may be
+    negative, (gen, idx) must rise strictly from row to row as the writer
+    sorts them, and every score must lie in [0, 1].
     """
     gen, idx, e1, e2, scores, spaces, strides = _read_table(
         path, EMBEDDING_CSV_HEADER, (int, int, float, float, float, str, int))
@@ -370,19 +379,13 @@ def read_embedding(path) -> tuple[Embedding, np.ndarray]:
         space = as_space(spaces[0])
     except ContractError as exc:
         raise MalformedRecordError(f"{path}: line 2: {exc}") from None
-    if strides[0] < 1:
-        raise MalformedRecordError(f"{path}: line 2: stride {strides[0]} must be positive")
-    odd = np.flatnonzero((np.asarray(spaces) != spaces[0]) | (strides != strides[0]))
-    if odd.size:
-        raise MalformedRecordError(f"{path}: line {odd[0] + 2}: space/stride differ from line 2's, must be constant")
-    negative = np.flatnonzero((gen < 0) | (idx < 0))
-    if negative.size:
-        k = negative[0]
-        raise MalformedRecordError(f"{path}: line {k + 2}: gen {gen[k]}, idx {idx[k]} must be non-negative")
-    outside = np.flatnonzero((scores < 0) | (scores > 1))
-    if outside.size:
-        k = outside[0]
-        raise MalformedRecordError(f"{path}: line {k + 2}: score {scores[k]} outside [0, 1]")
+    _refuse_rows(path, strides[:1] < 1, "stride {} must be positive", strides)
+    _refuse_rows(path, (np.asarray(spaces) != spaces[0]) | (strides != strides[0]),
+                 "space/stride differ from line 2's, must be constant")
+    _refuse_rows(path, (gen < 0) | (idx < 0), "gen {}, idx {} must be non-negative", gen, idx)
+    rising = (gen[1:] > gen[:-1]) | ((gen[1:] == gen[:-1]) & (idx[1:] > idx[:-1]))
+    _refuse_rows(path, np.r_[False, ~rising], "gen {}, idx {} does not come after the row above's", gen, idx)
+    _refuse_rows(path, (scores < 0) | (scores > 1), "score {} outside [0, 1]", scores)
     return Embedding(space, e1, e2, gen, idx, stride=int(strides[0])), scores
 
 
@@ -400,12 +403,8 @@ def read_hv_trace(path) -> HypervolumeTrace:
     Every row is parsed before ``gen`` is checked to count 0, 1, 2, … and ``hv`` to be non-negative.
     """
     gen, values = _read_table(path, HV_CSV_HEADER, (int, float))
-    gaps = np.flatnonzero(gen != np.arange(gen.size))
-    if gaps.size:
-        raise MalformedRecordError(f"{path}: line {gaps[0] + 2}: gen {gen[gaps[0]]}, expected {gaps[0]}")
-    negative = np.flatnonzero(values < 0)
-    if negative.size:
-        raise MalformedRecordError(f"{path}: line {negative[0] + 2}: hv {values[negative[0]]} is negative")
+    _refuse_rows(path, gen != np.arange(gen.size), "gen {}, expected {}", gen, np.arange(gen.size))
+    _refuse_rows(path, values < 0, "hv {} is negative", values)
     return HypervolumeTrace(reference_point=None, values=values)
 
 

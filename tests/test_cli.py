@@ -545,19 +545,32 @@ def test_non_utf8_input_is_an_error_line(tmp_path, capsys, argv, code):
     ("--embedding", 5, 1, "-7"),
     ("--embedding", 3, 4, "1.5"),
     ("--embedding", 4, 4, "-0.5"),
+    ("--embedding", 3, None, lambda lines: lines[:2] + lines[1:]),
+    ("--embedding", 3, None, lambda lines: [lines[0], lines[2], lines[1], *lines[3:]]),
+    ("--embedding", 2, 0, "0_0"),
+    ("--embedding", 2, 1, " 0"),
+    ("--hv-trace", 3, 0, "0_1"),
+    ("--hv-trace", 2, None, lambda lines: [lines[0], lines[1] + " ", *lines[2:]]),
 ], ids=["short-row", "bad-int", "bad-float", "huge-gen", "huge-negative-idx", "bad-hv", "gen-gap", "huge-hv-gen",
         "inf-e1", "nan-e2", "overflow-score", "inf-hv", "nan-hv", "negative-hv", "unknown-space", "stride-change",
-        "zero-stride", "negative-gen", "negative-idx", "score-above-1", "negative-score"])
+        "zero-stride", "negative-gen", "negative-idx", "score-above-1", "negative-score", "repeated-row",
+        "swapped-rows", "grouped-gen", "padded-idx", "grouped-hv-gen", "padded-hv"])
 def test_corrupt_csv_is_one_error_line(artifacts, tmp_path, flag, lineno, column, field):
-    """A corrupt CSV row stops ``render`` with exit 1, one ``error:`` line naming it, no traceback."""
+    """A corrupt CSV row stops ``render`` with exit 1, one ``error:`` line naming it, no traceback.
+
+    ``field`` replaces field ``column`` of line ``lineno`` (None deletes it), or edits the list of lines.
+    """
     _, _, embedding, trace = artifacts
     lines = (embedding if flag == "--embedding" else trace).read_text().splitlines()
-    parts = lines[lineno - 1].split(",")
-    if field is None:
-        del parts[column]
+    if callable(field):
+        lines = field(lines)
     else:
-        parts[column] = field
-    lines[lineno - 1] = ",".join(parts)
+        parts = lines[lineno - 1].split(",")
+        if field is None:
+            del parts[column]
+        else:
+            parts[column] = field
+        lines[lineno - 1] = ",".join(parts)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -696,6 +709,10 @@ def test_command_leaves_numpy_ma_and_random_out(artifacts, tmp_path, command):
     assert result.stdout.splitlines()[-1] == "0 False False"
 
 
+# read_history's message for a generation line laid out other than as write_history writes it.
+LAYOUT = 'expected {"gen": t, "x": [[...]], "y": [[...]]} as write_history writes it'
+
+
 def rewrite_generation(history, lineno, edit, out):
     """Copy ``history`` to ``out`` with ``edit`` applied to the generation record on line ``lineno``.
 
@@ -715,12 +732,19 @@ def rewrite_generation(history, lineno, edit, out):
     (5, lambda r: r.update(x=[row[:-1] for row in r["x"]]), "generation 3 does not match the declared D/M dimensions"),
     (2, lambda r: r["x"][4].__setitem__(0, -1e-300), "decision variable 0 = -1e-300 lies outside [0, 1]"),
     (6, lambda r: r["y"][2].__setitem__(1, float("inf")), "objective 1 = inf in row 2 is not finite"),
-    (3, lambda r: r.update(gen=True), "'gen' is not an integer: True"),
-    (3, lambda r: r.update(gen=1.0), "'gen' is not an integer: 1.0"),
-    (3, lambda r: json.dumps(r).replace('"gen": 1,', '"gen": 1e0,'), "'gen' is not an integer: 1.0"),
-    (3, lambda r: r.update(gen=10**400), "cannot convert float infinity to integer"),
+    (3, lambda r: r.update(gen=True), LAYOUT),
+    (3, lambda r: r.update(gen=1.0), LAYOUT),
+    (3, lambda r: json.dumps(r).replace('"gen": 1,', '"gen": 1e0,'), LAYOUT),
+    (3, lambda r: r.update(gen=10**400), f"generation indices must be 0..n-1 in order; position 1 holds {10**400}"),
+    (2, lambda r: json.dumps(r).replace('"gen": 0,', '"gen": -0,'), LAYOUT),
+    (3, lambda r: r["x"][1].__setitem__(0, True), "could not convert string to float: 'true'"),
+    (4, lambda r: r["x"][0].__setitem__(2, False), "could not convert string to float: 'false'"),
+    (5, lambda r: r["x"][7].__setitem__(1, "0.5"), LAYOUT),
+    (3, lambda r: json.dumps(r, separators=(",", ":")), LAYOUT),
+    (6, lambda r: r.update(z=1), LAYOUT),
 ], ids=["nan-variable", "member-count", "objective-count", "variable-count", "below-box", "infinite-objective",
-        "gen-true", "gen-real", "gen-exponent", "gen-beyond-float"])
+        "gen-true", "gen-real", "gen-exponent", "gen-beyond-float", "gen-minus-zero", "x-true", "x-false", "x-string",
+        "compact-separators", "extra-key"])
 @pytest.mark.parametrize("command", ["embed", "hv"])
 def test_bad_generation_is_one_error_line(artifacts, tmp_path, capsys, command, lineno, edit, message):
     """A generation that breaks a record rule or the header stops embed and hv with exit 1, naming file and line."""

@@ -30,7 +30,13 @@ from evohist import (
 )
 from evohist import emit
 from evohist.embedding import as_space
-from evohist.emit import COLOUR_ANCHORS, _fmt_rows, open_atomic
+from evohist.emit import COLOUR_ANCHORS, _row_texts, open_atomic
+
+
+# The message read_history gives for a generation line laid out other than as write_history writes it.
+LAYOUT = 'expected {"gen": t, "x": [[...]], "y": [[...]]} as write_history writes it'
+# ... and for a matrix whose rows differ in length or hold a space that no separator accounts for.
+ROWS = "matrix rows differ in length or hold a space outside a separator"
 
 
 def tiny_history():
@@ -146,7 +152,7 @@ class TestHistoryFile:
         path = tmp_path / "h.jsonl"
         write_history(tiny_history(), path)
         rewrite_line(path, 2, '{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]]}')
-        with pytest.raises(MalformedRecordError, match="'y'"):
+        with pytest.raises(MalformedRecordError, match=re.escape(f"line 2: {LAYOUT}")):
             read_history(path)
 
     def test_generation_order_enforced(self, tmp_path):
@@ -395,10 +401,10 @@ class TestMatrixFormatting:
     @settings(max_examples=200, deadline=None)
     def test_template_matches_per_value_format(self, rows):
         expected = ["[" + ", ".join(format(v, ".17g") for v in row) + "]" for row in rows]
-        assert _fmt_rows(np.array(rows, dtype=float)) == expected
+        assert _row_texts(np.array(rows, dtype=float), {})[0] == expected
 
     def test_no_rows(self):
-        assert _fmt_rows(np.empty((0, 3))) == []
+        assert _row_texts(np.empty((0, 3)), {}) == ([], {})
 
 
 def per_value_line(rec):
@@ -444,19 +450,125 @@ class TestHistoryRowReuse:
         assert path.read_text().splitlines()[1:] == [per_value_line(rec) for rec in history.generations]
 
 
+# Decision variables where text round trips are easiest to get wrong: signed zeros, the
+# smallest and the largest subnormal, the largest double below 1 and a 17-digit real.
+UNIT_EDGES = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072009e-308, np.nextafter(1.0, 0.0), 1 / 3]
+
+
+@st.composite
+def histories(draw):
+    """A RunHistory of a few generations: x from UNIT_EDGES, y from finite_reals."""
+    pop, d, m, gens = draw(st.integers(2, 5)), draw(st.integers(1, 4)), draw(st.integers(2, 3)), draw(st.integers(1, 4))
+
+    def matrices(values, width):
+        return [draw(st.lists(st.lists(values, min_size=width, max_size=width), min_size=pop, max_size=pop))
+                for _ in range(gens)]
+
+    return synthetic_history(matrices(st.sampled_from(UNIT_EDGES), d), matrices(finite_reals, m))
+
+
+# One-token edits of a generation line, none of which write_history can produce: a value (or
+# the gen) replaced by a JSON boolean or string, '_'-grouped or space-padded digits, gen as -0,
+# and a separator dropped or doubled.
+TOKEN = re.compile(r"-?[0-9][-+.0-9e]*")
+SEPARATORS = [", ", "], [", '{"gen": ', ', "x": [[', ']], "y": [[', "]]}"]
+
+
+@st.composite
+def edited_line(draw, line):
+    """``line`` with one edit from the catalogue above, at a drawn place."""
+    kind = draw(st.sampled_from(["token", "gen", "drop", "double"]))
+    if kind in ("token", "gen"):
+        tokens = list(TOKEN.finditer(line))
+        token = tokens[0] if kind == "gen" else draw(st.sampled_from(tokens))
+        text = "-0" if kind == "gen" else draw(st.sampled_from(["true", "false", '"0.5"', "1_0", " 1", "1 "]))
+        return line[:token.start()] + text + line[token.end():]
+    separator = draw(st.sampled_from([sep for sep in SEPARATORS if sep in line]))
+    starts = [m.start() for m in re.finditer(re.escape(separator), line)]
+    at = draw(st.sampled_from(starts))
+    return line[:at] + (separator * 2 if kind == "double" else "") + line[at + len(separator):]
+
+
+class TestHistoryLayout:
+    """read_history reads back exactly what write_history writes and refuses any other layout."""
+
+    @given(histories())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, history):
+        path = tmp_path_factory.mktemp("history") / "history.jsonl"
+        write_history(history, path)
+        back = read_history(path)
+        assert back.n_generations == history.n_generations
+        for a, b in zip(history.generations, back.generations):
+            assert bits(a.x.view(np.int64)) == bits(b.x.view(np.int64))
+            assert bits(a.y.view(np.int64)) == bits(b.y.view(np.int64))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_token_edit_is_refused_or_reads_back_as_written(self, tmp_path_factory, short_run, data):
+        """Either the edited line is named in the error, or writing what was read gives the edited file's bytes."""
+        path = tmp_path_factory.mktemp("history") / "history.jsonl"
+        write_history(short_run, path)
+        lines = path.read_text().splitlines()
+        lineno = data.draw(st.integers(2, len(lines)))
+        lines[lineno - 1] = data.draw(edited_line(lines[lineno - 1]))
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            back = read_history(path)
+        except ValueError as exc:
+            assert f": line {lineno}: " in str(exc)
+            return
+        write_history(back, path.with_name("again.jsonl"))
+        assert path.with_name("again.jsonl").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"gen":0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
+        ('{"gen": 0,"x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
+        ('{"gen": 0, "x": [[0.1,0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', ROWS),
+        ('{"gen": 0, "x": [[0.1, 0.2],[0.9, 0.4]], "y": [[1, 2], [2, 1]]}', "could not convert string to float"),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]] }', LAYOUT),
+        ('{"y": [[1, 2], [2, 1]], "gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]]}', LAYOUT),
+        ('{"gen": 00, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9,  0.4]], "y": [[1, 2], [2, 1]]}', ROWS),
+        ('{"gen": 0, "x": [[0.1, 0.2], [ 0.9, 0.4]], "y": [[1, 2], [2, 1]]}', ROWS),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1\t]]}', "a tab"),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, \u0661]]}', "non-ASCII"),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1e1_0]]}', "'_'"),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2]]}', ROWS),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[]]}', "could not convert string to float: ''"),
+    ], ids=["gen-colon", "gen-comma", "value-comma", "row-comma", "closing-space", "key-order", "gen-leading-zero",
+            "double-space", "leading-space", "tab", "non-ascii-digit", "underscore", "ragged", "empty"])
+    def test_other_layouts_refused(self, tmp_path, line, message):
+        path = tmp_path / "h.jsonl"
+        write_history(tiny_history(), path)
+        rewrite_line(path, 2, line)
+        with pytest.raises(MalformedRecordError, match=f"line 2: .*{re.escape(message)}"):
+            read_history(path)
+
+    def test_json_spellings_of_the_written_values_read_back(self, tmp_path):
+        """Values are read by numpy's float parser, so other spellings of a real, NaN and Infinity included, parse."""
+        path = tmp_path / "h.jsonl"
+        write_history(tiny_history(), path)
+        rewrite_line(path, 2, '{"gen": 0, "x": [[1e-1, 0.20], [+0.9, 4E-1]], "y": [[1.0, 2], [2, 1]]}')
+        assert np.array_equal(read_history(path).generations[0].x, [[0.1, 0.2], [0.9, 0.4]])
+        rewrite_line(path, 2, '{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, Infinity]]}')
+        with pytest.raises(ContractError, match="line 2: objective 1 = inf in row 1 is not finite"):
+            read_history(path)
+
+
 class TestAtomicWrites:
     @staticmethod
     def fail_on_third_generation(monkeypatch):
         calls = []
-        real = emit._fmt_rows
+        real = emit._row_texts
 
-        def flaky(rows):
+        def flaky(rows, previous):
             calls.append(rows)
             if len(calls) == 5:  # one call for x, one for y per generation: call 5 is generation 2's x
                 raise RuntimeError("disk full")
-            return real(rows)
+            return real(rows, previous)
 
-        monkeypatch.setattr(emit, "_fmt_rows", flaky)
+        monkeypatch.setattr(emit, "_row_texts", flaky)
 
     def test_failed_write_keeps_existing_history(self, tmp_path, monkeypatch, short_run):
         path = tmp_path / "history.jsonl"
@@ -756,13 +868,21 @@ def finite(text):
     return value
 
 
+def plain(parts):
+    """The fields of one CSV row, refused if any holds '_', whitespace or a non-ASCII character, as the readers do."""
+    if any(c == "_" or c.isspace() or not c.isascii() for part in parts for c in part):
+        raise ValueError("a field holds '_', whitespace or a non-ASCII character")
+    return parts
+
+
 def row_by_row_read_embedding(path):
     """read_embedding as it parsed one row at a time, kept as the column reader's reference.
 
-    Non-finite reals are refused on their line, and so are an unknown space
-    or a stride below 1 on line 2, a space or stride that differs from line
-    2's, a negative gen or idx, and a score outside [0, 1], as the column
-    reader refuses them.
+    Non-finite reals and fields holding '_', whitespace or non-ASCII text
+    are refused on their line, and so are an unknown space or a stride
+    below 1 on line 2, a space or stride that differs from line 2's, a
+    negative gen or idx, a (gen, idx) no greater than the row before's, and
+    a score outside [0, 1], as the column reader refuses them.
     """
     lines = emit._read_lines(path)
     if not lines or lines[0] != emit.EMBEDDING_CSV_HEADER:
@@ -775,6 +895,7 @@ def row_by_row_read_embedding(path):
         if len(parts) != 7:
             raise MalformedRecordError(f"{path}: line {lineno}: expected 7 fields, got {len(parts)}")
         try:
+            plain(parts)
             gens.append(int(parts[0]))
             idxs.append(int(parts[1]))
             e1s.append(finite(parts[2]))
@@ -796,6 +917,10 @@ def row_by_row_read_embedding(path):
     for lineno, (g, i) in enumerate(zip(gens, idxs), start=2):
         if g < 0 or i < 0:
             raise MalformedRecordError(f"{path}: line {lineno}: gen and idx must be non-negative")
+    pairs = list(zip(gens, idxs))
+    for lineno, (before, pair) in enumerate(zip(pairs, pairs[1:]), start=3):
+        if pair <= before:
+            raise MalformedRecordError(f"{path}: line {lineno}: (gen, idx) must rise from row to row")
     for lineno, score in enumerate(scores, start=2):
         if not 0 <= score <= 1:
             raise MalformedRecordError(f"{path}: line {lineno}: score {score} outside [0, 1]")
@@ -821,7 +946,7 @@ def row_by_row_write_hv_trace(trace, path):
 
 
 def row_by_row_read_hv_trace(path):
-    """read_hv_trace as it parsed one row at a time, refusing non-finite and then negative values on their line."""
+    """read_hv_trace as it parsed one row at a time, refusing unplain fields, non-finite and then negative values on their line."""
     lines = emit._read_lines(path)
     if not lines or lines[0] != emit.HV_CSV_HEADER:
         raise MalformedRecordError(f"{path}: line 1: expected header {emit.HV_CSV_HEADER!r}")
@@ -829,7 +954,7 @@ def row_by_row_read_hv_trace(path):
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         try:
-            if len(parts) != 2 or int(parts[0]) != lineno - 2:
+            if len(parts) != 2 or int(plain(parts)[0]) != lineno - 2:
                 raise ValueError("expected 'gen,hv' with consecutive gen indices")
             values.append(finite(parts[1]))
         except ValueError as exc:
@@ -844,10 +969,10 @@ def row_by_row_read_hv_trace(path):
 
 INT64 = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([0, 1, -1, 2**63 - 1, -2**63]))
 NON_NEGATIVE_INT64 = st.one_of(st.integers(0, 2**63 - 1), st.sampled_from([0, 1, 2**63 - 1]))
-# Spellings Python's int() and float() accept: padding, signs, digit groups, exponents, case.
-INT_SPELLINGS = [str, lambda n: f" {n}\t", lambda n: format(n, "+05d"), lambda n: format(n, "_d")]
-FLOAT_SPELLINGS = [lambda v: format(v, ".17g"), repr, lambda v: f" {v!r} ", lambda v: format(v, ".17E"),
-                   lambda v: format(v, "_")]
+# Spellings Python's int() and float() accept and the readers keep: signs, zero padding, exponents, case.
+# Padding with whitespace and digit groups with '_' are faults ("padded int", "padded float").
+INT_SPELLINGS = [str, lambda n: format(n, "+05d")]
+FLOAT_SPELLINGS = [lambda v: format(v, ".17g"), repr, lambda v: format(v, ".17E")]
 # Signed zeros, subnormals, the normal/subnormal boundary, the largest double and
 # values whose shortest round-trip text needs all 17 digits.
 FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -857,8 +982,11 @@ BAD_TEXTS = {
     "bad int": (int, ["", "x", "1.5", "1e3", "0x10", "nan", "--1", "1 2"]),
     "bad float": (float, ["", "one", "1.2.3", "0x1p3", "1e", "--1", "in f"]),
     "huge int": (int, ["9223372036854775808", "-9223372036854775809", "99999999999999999999"]),
-    "not positive": (int, ["0", "-0", "-1", " -7\t", "-9223372036854775808"]),
-    "non-finite": (float, ["nan", "-NaN", "inf", "-Infinity", " +inf ", "1e999", "-1e400"]),
+    "not positive": (int, ["0", "-0", "-1", "-7", "-9223372036854775808"]),
+    "non-finite": (float, ["nan", "-NaN", "inf", "-Infinity", "+inf", "1e999", "-1e400"]),
+    # Texts Python's int() and float() read but the writer never writes.
+    "padded int": (int, [" 1", "2\t", "0 ", "1_0", "0_0", "\u0661", "\u00a01"]),
+    "padded float": (float, [" 0.5", "0.25 ", "\t1e-3", "1_0.5", "0.5_5", "\uff10.5", " +inf "]),
 }
 EMBEDDING_KINDS = (int, int, float, float, float, str, int)
 
@@ -875,8 +1003,8 @@ hv_float_texts = spelled(hv_values, FLOAT_SPELLINGS)
 
 @st.composite
 def corrupted(draw, rows, kinds, faults):
-    """``rows`` with ``faults`` (short row, extra field, bad int, bad float, huge int, an int below 1 or a
-    non-finite real) on drawn rows."""
+    """``rows`` with ``faults`` (short row, extra field, bad int, bad float, huge int, an int below 1, a
+    non-finite real, or a number padded with whitespace, grouped with '_' or in non-ASCII digits) on drawn rows."""
     rows = [list(row) for row in rows]
     for fault in faults:
         row = rows[draw(st.integers(0, len(rows) - 1))]
@@ -907,6 +1035,8 @@ def embedding_files(draw, faults):
     stride = draw(st.integers(1, 2**63 - 1))
     rows = [[*fields, space, spell(stride)] for fields, spell in
             draw(st.lists(st.tuples(embedding_fields, st.sampled_from(INT_SPELLINGS)), min_size=1, max_size=8))]
+    if draw(st.booleans()):  # in the writer's (gen, idx) order, which repeats still break
+        rows.sort(key=lambda row: (int(row[0]), int(row[1])))
     if draw(st.booleans()):
         rows = draw(corrupted(rows, EMBEDDING_KINDS, draw(st.lists(st.sampled_from(faults), min_size=1, max_size=3))))
     return "\n".join([emit.EMBEDDING_CSV_HEADER] + [",".join(row) for row in rows]) + "\n"
@@ -936,7 +1066,8 @@ class TestTableOracles:
 
     # No "huge int": there the row-by-row reader let numpy's OverflowError escape;
     # test_first_bad_line_across_columns and test_cli's corrupt-CSV cases cover it.
-    @given(embedding_files(["short", "extra", "bad int", "bad float", "non-finite", "not positive"]))
+    @given(embedding_files(["short", "extra", "bad int", "bad float", "non-finite", "not positive", "padded int",
+                            "padded float"]))
     @settings(max_examples=300, deadline=None)
     def test_embedding_reader_matches_row_by_row(self, table_dir, text):
         path = table_dir / "e.csv"
@@ -956,7 +1087,8 @@ class TestTableOracles:
     def test_hv_reader_matches_row_by_row(self, table_dir, values, data):
         rows = [[str(t), v] for t, v in enumerate(values)]
         if data.draw(st.booleans()):
-            faults = st.sampled_from(["short", "extra", "bad int", "bad float", "huge int", "non-finite"])
+            faults = st.sampled_from(["short", "extra", "bad int", "bad float", "huge int", "non-finite", "padded int",
+                                      "padded float"])
             rows = data.draw(corrupted(rows, (int, float), data.draw(st.lists(faults, min_size=1, max_size=3))))
         elif data.draw(st.booleans()):
             rows[data.draw(st.integers(0, len(rows) - 1))][0] = str(data.draw(INT64.filter(lambda n: n >= len(rows))))
@@ -989,7 +1121,7 @@ class TestTableOracles:
     ], ids=["e1-before-gen", "stride-before-score", "huge-idx-before-e2", "zero-stride-everywhere",
             "stride-change-before-negative-gen", "first-negative-line", "hv-before-gen", "gen-before-hv"])
     def test_first_bad_line_across_columns(self, tmp_path, read, header, faults, line):
-        row = {emit.EMBEDDING_CSV_HEADER: "0,0,1.5,2.5,0.5,search,1", emit.HV_CSV_HEADER: "{t},0.5"}[header]
+        row = {emit.EMBEDDING_CSV_HEADER: "0,{t},1.5,2.5,0.5,search,1", emit.HV_CSV_HEADER: "{t},0.5"}[header]
         rows = [row.format(t=t).split(",") for t in range(5)]
         for lineno, (column, text) in faults.items():
             rows[lineno - 2][column] = text
