@@ -12,6 +12,7 @@ are checked before any stage runs and before a history's records are read.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from dataclasses import fields
@@ -383,4 +384,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # The objects the imports made live until exit; frozen, no later full
+    # collection walks them, interpreter shutdown's included.  Not in main():
+    # where it runs many times, as in a test run, a freeze would also keep
+    # every cycle the earlier calls left.
+    gc.freeze()
     sys.exit(main())

@@ -127,12 +127,20 @@ def open_atomic(path):
 
 
 def _read_lines(path, first_only: bool = False) -> list[str]:
-    """The lines of a UTF-8 text file, or only its first; bytes that are not UTF-8 make it malformed."""
+    """The lines of a UTF-8 text file, or only its first; bytes that are not UTF-8 make it malformed.
+
+    Lines end at LF alone, as every writer here ends them: a CR, form
+    feed or other line break stays in its line, where the history and CSV
+    readers refuse it and the config reader strips it from a line's ends.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return (fh.readline() if first_only else fh.read()).splitlines()
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = (fh.readline() if first_only else fh.read()).split("\n")
     except UnicodeDecodeError as exc:
         raise MalformedRecordError(f"{path}: not UTF-8 text: {exc}") from None
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 # The history header in file order: each field and its JSON type.
@@ -192,6 +200,8 @@ def _read_header(path, lines: list[str] | None = None) -> dict:
     lines = _read_lines(path, first_only=True) if lines is None else lines
     if not lines:
         raise MalformedRecordError(f"{path}: line 1: empty file, expected a header record")
+    if "\r" in lines[0]:  # JSON reads CR as whitespace, so only this line needs the check
+        raise MalformedRecordError(f"{path}: line 1: holds a carriage return; lines must end in LF alone")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
@@ -225,22 +235,34 @@ def _read_header(path, lines: list[str] | None = None) -> dict:
 _GENERATION_LINE = re.compile(r'\{"gen": (0|[1-9][0-9]*), "x": \[\[([^"]*)\]\], "y": \[\[([^"]*)\]\]\}')
 
 
-def _parse_matrix(text: str) -> np.ndarray:
+def _parse_matrix(text: str, previous: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """A matrix as write_history prints it between ``[[`` and ``]]``: rows joined by ``], [``, values by ``, ``.
 
     Each space must be a separator's: every row holds the same number of
     spaces, and the values number one more than that per row.  Raises
-    ValueError otherwise, on ``_``, a tab or non-ASCII text, which numpy's
-    float parser skips or reads, and on a value it cannot read.
+    ValueError otherwise, on ``_``, a tab or other whitespace, or non-ASCII
+    text, which numpy's float parser skips or reads, and on a value it
+    cannot read.
+
+    ``previous`` maps each row text of the matrix one generation before to
+    its parsed row.  A row found there was checked and parsed then, and
+    equal text parses to equal bits, so it is reused; only the rest are
+    parsed, in one call.  Returns the matrix and its own text → row map.
     """
     rows = text.split("], [")
-    values = ", ".join(rows).split(", ")
     spaces = {row.count(" ") for row in rows}
-    if len(spaces) != 1 or len(values) != len(rows) * (spaces.pop() + 1):
+    width = max(spaces) + 1
+    parsed = list(map(previous.get, rows))
+    new = [i for i, row in enumerate(parsed) if row is None]
+    values = ", ".join([rows[i] for i in new]).split(", ") if new else []
+    if len(spaces) != 1 or len(values) != len(new) * width:
         raise ValueError("matrix rows differ in length or hold a space outside a separator")
-    if not text.isascii() or "_" in text or "\t" in text:
-        raise ValueError("a value holds '_', a tab or a non-ASCII character")
-    return np.array(values, dtype=float).reshape(len(rows), -1)
+    if not text.isascii() or any(c in text for c in "_\t\r\x0b\x0c"):
+        raise ValueError("a value holds '_', a tab or other whitespace, or a non-ASCII character")
+    for i, row in zip(new, np.array(values, dtype=float).reshape(-1, width)):
+        parsed[i] = row
+    matrix = np.array(parsed)
+    return matrix, dict(zip(rows, matrix))
 
 
 def read_history(path) -> RunHistory:
@@ -255,12 +277,16 @@ def read_history(path) -> RunHistory:
     lines = _read_lines(path)
     run_fields = _read_header(path, lines)
     generations = []
+    seen_x: dict[str, np.ndarray] = {}
+    seen_y: dict[str, np.ndarray] = {}
     for lineno, text in enumerate(lines[1:], start=2):
         line = _GENERATION_LINE.fullmatch(text)
         try:
             if line is None:
                 raise ValueError('expected {"gen": t, "x": [[...]], "y": [[...]]} as write_history writes it')
-            generations.append(GenerationRecord(int(line[1]), _parse_matrix(line[2]), _parse_matrix(line[3])))
+            x, seen_x = _parse_matrix(line[2], seen_x)
+            y, seen_y = _parse_matrix(line[3], seen_y)
+            generations.append(GenerationRecord(int(line[1]), x, y))
             _check_generation(generations[-1], lineno - 2, run_fields["M"], run_fields["D"],
                               run_fields["population_size"])
         except ContractError as exc:

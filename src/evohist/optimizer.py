@@ -378,29 +378,45 @@ def nsga3_select(population, target_size: int, directions: ReferenceDirectionSet
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
     assoc = np.argmin(dist, axis=1)
-    assoc_dist = dist[np.arange(len(considered)), assoc].tolist()
 
     niche = np.bincount(assoc[: len(selected)], minlength=len(directions)).tolist()
     # pools[j]: positions (into `considered`) of unselected last-front members
-    # vying for direction j; a direction leaves once its pool is empty.
-    pools: dict[int, list[int]] = {}
-    for pos in range(len(selected), len(considered)):
-        pools.setdefault(int(assoc[pos]), []).append(pos)
+    # vying for direction j, ascending, with j ascending; a direction leaves
+    # once its pool is empty.  closest[j]: the member of j's pool nearest to
+    # it, ties by lower position.
+    candidates = np.arange(len(selected), len(considered))
+    candidate_dirs = assoc[candidates]
+    by_direction = np.argsort(candidate_dirs, kind="stable")
+    sorted_dirs = candidate_dirs[by_direction]
+    starts = np.flatnonzero(np.diff(sorted_dirs, prepend=-1))
+    bounds = [*starts.tolist(), len(candidates)]
+    members = candidates[by_direction].tolist()
+    keys = sorted_dirs[starts].tolist()
+    pools = {j: members[a:b] for j, a, b in zip(keys, bounds, bounds[1:])}
+    nearest = np.lexsort((candidates, dist[candidates, candidate_dirs], candidate_dirs))
+    closest = dict(zip(keys, candidates[nearest[starts]].tolist()))
 
     while len(selected) < target_size:
         # A pick moves its direction up exactly one level, so the next level
         # is complete once this one is used up.
         count = min(niche[j] for j in pools)
-        level = [j for j in sorted(pools) if niche[j] == count]
-        while level and len(selected) < target_size:
-            j = level.pop(int(rng.integers(len(level))) if len(level) > 1 else 0)
-            pool = pools[j]
+        level = [j for j in pools if niche[j] == count]
+        picks = min(len(level), target_size - len(selected))
+        if count == 0:
+            # Level 0 draws only directions, with bounds L, L-1, ..., 2 (a
+            # last pick from one direction draws nothing); numpy's
+            # array-bound integers consumes the stream as those scalar
+            # calls do, so one call draws them all.
+            draws = iter(rng.integers(0, np.arange(len(level), 1, -1)[:picks]).tolist() + [0])
+        for _ in range(picks):
             if count == 0:
-                pos = min(pool, key=lambda p: (assoc_dist[p], p))
-                pool.remove(pos)
+                j = level.pop(next(draws))
+                pos = closest[j]
+                pools[j].remove(pos)
             else:
-                pos = pool.pop(int(rng.integers(len(pool))))
-            if not pool:
+                j = level.pop(int(rng.integers(len(level))) if len(level) > 1 else 0)
+                pos = pools[j].pop(int(rng.integers(len(pools[j]))))
+            if not pools[j]:
                 del pools[j]
             niche[j] += 1
             selected.append(considered[pos])

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -418,7 +419,8 @@ class TestConfigFile:
         path.write_text(body)
         return path
 
-    def test_config_supplies_values(self, tmp_path):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_config_supplies_values(self, tmp_path, newline):
         cfg = self.write_config(tmp_path, (
             "# small smoke run\n"
             "problem = dtlz2\n"
@@ -426,7 +428,7 @@ class TestConfigFile:
             "population_size = 8\n"
             "evaluation_budget = 40\n"
             "seed = 7\n"
-        ))
+        ).replace("\n", newline))
         out = tmp_path / "h.jsonl"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         header = header_of(out)
@@ -521,6 +523,48 @@ def test_non_utf8_input_is_an_error_line(tmp_path, capsys, argv, code):
     assert main([*argv, str(bad), "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
+
+
+def crlf(lines, lineno):
+    return [line + b"\r" for line in lines]
+
+
+def append(text):
+    def edit(lines, lineno):
+        lines[lineno - 1] += text
+        return lines
+    return edit
+
+
+def before_last_bracket(text):
+    def edit(lines, lineno):
+        head, _, tail = lines[lineno - 1].rpartition(b"]]")
+        lines[lineno - 1] = head + text + b"]]" + tail
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("input_, lineno, edit", [
+    ("history", 1, crlf),
+    ("embedding", 1, crlf),
+    ("hv-trace", 1, crlf),
+    ("hv-trace", 5, append(b"\x0c")),
+    ("hv-trace", 3, append(b"\r")),
+    ("embedding", 4, append(b"\x0b")),
+    ("history", 4, before_last_bracket(b"\r")),
+    ("history", 3, before_last_bracket(b"\x0c")),
+], ids=["crlf-history", "crlf-embedding", "crlf-hv", "form-feed-row", "cr-row", "vertical-tab-row",
+        "cr-in-matrix", "form-feed-in-matrix"])
+def test_line_break_other_than_lf_is_refused_on_its_line(artifacts, tmp_path, capsys, input_, lineno, edit):
+    """Lines end at LF alone: a CR, form feed or vertical tab stays in its line, which is named as the bad one."""
+    _, history, embedding, trace = artifacts
+    source = {"history": history, "embedding": embedding, "hv-trace": trace}[input_]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\n".join(edit(source.read_bytes().split(b"\n")[:-1], lineno)) + b"\n")
+    argv = ["hv", "--history", str(bad)] if input_ == "history" else ["render", f"--{input_}", str(bad)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines()[0].startswith(f"error: {bad}: line {lineno}: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, lineno, column, field", [
@@ -687,6 +731,30 @@ def test_cli_import_leaves_scipy_out():
         env=env, capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    """Only the program path freezes.  A freeze in main() would keep alive every cycle the calls before it
+    left, which in a test run is hundreds of calls."""
+    before = gc.get_freeze_count()
+    assert main(["run", "--problem", "dtlz2", *RUN_FLAGS, "--out", str(tmp_path / "h.jsonl")]) == 0
+    assert main(["--help"]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+def test_program_path_freezes_import_time_objects():
+    """``python -m evohist.cli`` freezes the objects its imports made, and --help still exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ("import gc, runpy, sys\n"
+              "sys.argv = ['evohist', '--help']\n"
+              "try:\n"
+              "    runpy.run_module('evohist.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as exc:\n"
+              "    print(exc.code, gc.get_freeze_count())\n")
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    code, frozen = result.stdout.splitlines()[-1].split()
+    assert code == "0" and int(frozen) > 0
 
 
 @pytest.mark.parametrize("command", ["embed", "hv", "render"])

@@ -448,6 +448,52 @@ class TestHistoryRowReuse:
         path = tmp_path_factory.mktemp("history") / "history.jsonl"
         write_history(history, path)
         assert path.read_text().splitlines()[1:] == [per_value_line(rec) for rec in history.generations]
+        for a, b in zip(history.generations, read_history(path).generations):
+            assert bits(a.x.view(np.int64)) == bits(b.x.view(np.int64))
+            assert bits(a.y.view(np.int64)) == bits(b.y.view(np.int64))
+
+
+class TestHistoryReaderReuse:
+    """read_history takes a row whose text the previous generation's same matrix held from there, and parses the rest."""
+
+    def test_a_row_found_in_previous_is_taken_from_there(self):
+        previous = {"0.5, 0.25": np.array([9.0, 9.0])}
+        matrix, seen = emit._parse_matrix("0.5, 0.25], [0.75, 1", previous)
+        assert matrix.tolist() == [[9.0, 9.0], [0.75, 1.0]]
+        assert {text: row.tolist() for text, row in seen.items()} == {"0.5, 0.25": [9.0, 9.0], "0.75, 1": [0.75, 1.0]}
+
+    def test_reused_signed_zeros_and_subnormals_read_back_bit_identical_and_read_only(self, tmp_path):
+        edge = [-0.0, 5e-324, 2.2250738585072009e-308]
+        twin = [0.0, 5e-324, 2.2250738585072009e-308]  # equal to edge as floats, not as text or bits
+        xs = [[edge, twin, [0.5, 0.25, 1.0]], [twin, edge, [0.1, 0.2, 0.3]], [edge, edge, [0.1, 0.2, 0.3]]]
+        ys = [[[-0.0, -5e-324], [1.0, 0.0], [-2.2250738585072009e-308, 2.0]]] * 3
+        history = synthetic_history(xs, ys)
+        path = tmp_path / "history.jsonl"
+        write_history(history, path)
+        back = read_history(path)
+        for a, b in zip(history.generations, back.generations):
+            assert bits(a.x.view(np.int64)) == bits(b.x.view(np.int64))
+            assert bits(a.y.view(np.int64)) == bits(b.y.view(np.int64))
+            assert not b.x.flags.writeable and not b.y.flags.writeable
+        assert np.signbit(back.generations[2].x[:2, 0]).all() and not np.signbit(back.generations[1].x[0, 0])
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4, 0.5]], "y": [[1, 2], [2, 1]]}', ROWS),
+        ('{"gen": 1, "x": [[0.1, 0.2], [0.9]], "y": [[1, 2], [2, 1]]}', ROWS),
+        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1], [3]]}', ROWS),
+        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, true]], "y": [[1, 2], [2, 1]]}', "could not convert string to float: 'true'"),
+        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1e1_0]]}', "'_'"),
+        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4\r]], "y": [[1, 2], [2, 1]]}', "other whitespace"),
+    ], ids=["wider-new-row", "narrower-new-row", "extra-narrow-y-row", "true-in-new-row", "underscore-in-new-row",
+            "cr-in-new-row"])
+    def test_bad_new_row_beside_reused_rows(self, tmp_path, line, message):
+        """Line 3 repeats line 2's first rows, so only its last row is new; that row's fault still names line 3."""
+        path = tmp_path / "h.jsonl"
+        write_history(tiny_history(), path)
+        rewrite_line(path, 2, '{"gen": 0, "x": [[0.1, 0.2], [0.8, 0.3]], "y": [[1, 2], [2, 1]]}')
+        path.write_text(path.read_text().replace(path.read_text().splitlines()[2], line))
+        with pytest.raises(MalformedRecordError, match=f"line 3: .*{re.escape(message)}"):
+            read_history(path)
 
 
 # Decision variables where text round trips are easiest to get wrong: signed zeros, the

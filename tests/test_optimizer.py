@@ -22,7 +22,7 @@ from evohist import (
     run,
     sbx_crossover,
 )
-from evohist.optimizer import _normalise, _vary, default_partitions, default_population_size
+from evohist.optimizer import _fill, _normalise, _vary, default_partitions, default_population_size
 from evohist.problems import evaluate_batch
 
 
@@ -699,3 +699,136 @@ class TestSelectionMatchesOwnFillLoops:
         assert got == own_fill_nsga3_select(y, 4, directions, oracle_rng)
         assert sorted(got[:2]) == [0, 1]
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def per_pick_nsga3_select(y, target_size, directions, rng, levels):
+    """nsga3_select with one draw and one keyed ``min`` per level-0 pick, kept as an oracle.
+
+    Appends each level it serves to ``levels`` as (count, directions in
+    it, picks made, whether a level-0 pick's closest candidate tied on
+    distance with another in its pool).
+    """
+    y = np.asarray(y, dtype=float)
+    selected, last = _fill(y, target_size)
+    if not last:
+        return selected
+    considered = selected + last
+    sub = y[considered]
+    normalised = _normalise(sub - sub.min(axis=0))
+    dirs = directions.directions
+    unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    dist = normalised @ unit.T
+    dist *= dist
+    np.subtract(np.sum(normalised * normalised, axis=1)[:, None], dist, out=dist)
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    assoc = np.argmin(dist, axis=1)
+    assoc_dist = dist[np.arange(len(considered)), assoc].tolist()
+    niche = np.bincount(assoc[: len(selected)], minlength=len(directions)).tolist()
+    pools = {}
+    for pos in range(len(selected), len(considered)):
+        pools.setdefault(int(assoc[pos]), []).append(pos)
+    while len(selected) < target_size:
+        count = min(niche[j] for j in pools)
+        level = [j for j in sorted(pools) if niche[j] == count]
+        size, before, tied = len(level), len(selected), False
+        while level and len(selected) < target_size:
+            j = level.pop(int(rng.integers(len(level))) if len(level) > 1 else 0)
+            pool = pools[j]
+            if count == 0:
+                pos = min(pool, key=lambda p: (assoc_dist[p], p))
+                tied |= sum(assoc_dist[p] == assoc_dist[pos] for p in pool) > 1
+                pool.remove(pos)
+            else:
+                pos = pool.pop(int(rng.integers(len(pool))))
+            if not pool:
+                del pools[j]
+            niche[j] += 1
+            selected.append(considered[pos])
+        levels.append((count, size, len(selected) - before, tied))
+    return selected
+
+
+# Where a target for the niching oracle falls, given the cumulative front sizes and the pool size n.
+TARGETS = {
+    "front-boundary": lambda sizes, n: st.sampled_from(sizes),  # the last front fits exactly
+    "inside-first-front": lambda sizes, n: st.integers(1, sizes[0]),
+    "past-first-front": lambda sizes, n: st.integers(min(sizes[0] + 1, n), n),
+}
+
+
+def niching_cases(y, target, directions, seed):
+    """Check nsga3_select against the per-pick oracle; return the cases the input reached."""
+    levels = []
+    oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = per_pick_nsga3_select(y, target, directions, oracle_rng, levels)
+    got = nsga3_select(y, target, directions, rng=rng)
+    assert got == expected
+    assert {type(i) for i in got} <= {int}
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    survivors, last = _fill(np.asarray(y, dtype=float), target)
+    cases = {f"M={y.shape[1]}", "last front fits" if not last else "niching"}
+    if last and survivors:
+        cases.add("level 0 after survivors" if levels[0][0] == 0 else "no level 0")
+    for count, size, picks, tied in levels:
+        if count == 0 and picks < size:
+            cases.add("target inside level 0")
+        if size == 1:
+            cases.add("one-direction level")
+        if tied:
+            cases.add("tied closest")
+    return cases
+
+
+ALL_NICHING_CASES = {"M=2", "M=3", "M=4", "M=5", "last front fits", "niching", "level 0 after survivors",
+                     "no level 0", "target inside level 0", "one-direction level", "tied closest"}
+
+
+class TestNichingMatchesPerPickLoop:
+    """Level 0 in one array-bound draw, pools from one stable sort and the closest members from one
+    lexsort select what a draw and a keyed ``min`` per pick did, and leave the generator in the same state."""
+
+    @given(st.integers(0, 2**64 - 1), st.integers(2, 5), st.integers(2, 80), st.sampled_from([1, 2]),
+           st.integers(1, 4), st.sampled_from(sorted(TARGETS)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_selections_and_generator_state(self, seed, M, n, decimals, p, case, data):
+        # Rounding gives duplicate points, so distances and niche counts tie.
+        y = np.random.default_rng(seed).random((n, M)).round(decimals)
+        sizes = np.cumsum([len(front) for front in fast_nondominated_sort(y)]).tolist()
+        niching_cases(y, data.draw(TARGETS[case](sizes, n)), das_dennis(M, p), seed + 1)
+
+    def test_seeded_inputs_reach_every_case(self):
+        """A fixed sweep of the same kind of input reaches each case the oracle test is meant to cover."""
+        reached = set()
+        for seed in range(160):
+            draw = np.random.default_rng(seed)
+            M, n, decimals, p = 2 + seed % 4, int(draw.integers(2, 60)), int(draw.integers(1, 3)), int(draw.integers(1, 5))
+            y = draw.random((n, M)).round(decimals)
+            sizes = np.cumsum([len(front) for front in fast_nondominated_sort(y)])
+            target = [int(sizes[draw.integers(sizes.size)]), int(draw.integers(1, sizes[0] + 1)),
+                      int(draw.integers(min(sizes[0] + 1, n), n + 1))][seed % 3]
+            reached |= niching_cases(y, target, das_dennis(M, p), seed)
+        assert reached == ALL_NICHING_CASES
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("pending_half", [False, True], ids=["fresh", "pending-uint32-half"])
+    def test_array_bound_integers_equal_scalar_calls(self, seed, pending_half):
+        """Level 0's one draw rests on this: ``integers(0, highs)`` gives the values and leaves the
+        state that one scalar ``integers(high)`` per bound, in order, does; an empty ``highs`` draws nothing.
+
+        A bounded draw below 2**32 takes 32-bit halves, so a half left over
+        by an earlier draw must be used the same way by both.
+        """
+        array_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if pending_half:
+            array_rng.integers(7), scalar_rng.integers(7)
+            assert array_rng.bit_generator.state["has_uint32"] == 1
+        L = int(np.random.default_rng(seed + 1000).integers(2, 400))
+        highs = np.arange(L, 1, -1)[: int(np.random.default_rng(seed + 2000).integers(1, L + 1))]
+        assert array_rng.integers(0, highs).tolist() == [int(scalar_rng.integers(h)) for h in highs]
+        assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+        assert array_rng.integers(0, highs[:0]).tolist() == []
+        assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+        big = np.arange(10**6, 10**6 - 5, -1)  # up to the direction-count limit
+        assert array_rng.integers(0, big).tolist() == [int(scalar_rng.integers(h)) for h in big]
+        assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
