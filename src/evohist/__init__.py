@@ -19,7 +19,6 @@ from .embedding import (
     Embedding,
     EmbeddingSpace,
     classical_mds,
-    concatenate,
     embed_history,
     pairwise_sq_distances,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "EmbeddingSpace",
     "Embedding",
     "DEFAULT_MAX_POINTS",
-    "concatenate",
     "pairwise_sq_distances",
     "classical_mds",
     "embed_history",

@@ -41,7 +41,7 @@ class ConfigError(ValueError):
 
 def objective_vector(values, n_objectives: int | None = None) -> np.ndarray:
     """Validate an objective vector: 1-D, every entry finite."""
-    y = np.asarray(values, dtype=float)
+    y = _floats(values, "objective vector must be a non-empty 1-D sequence of numbers")
     if y.ndim != 1 or y.size == 0:
         raise ContractError("objective vector must be a non-empty 1-D sequence")
     if n_objectives is not None and y.size != n_objectives:
@@ -52,12 +52,17 @@ def objective_vector(values, n_objectives: int | None = None) -> np.ndarray:
     return y
 
 
+def _floats(values, rule: str) -> np.ndarray:
+    """``values`` as a float array; what numpy cannot convert raises ContractError stating ``rule``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, or entries that are not numbers
+        raise ContractError(f"{rule}: {exc}") from None
+
+
 def _matrix(values, columns: int | None, kind: str) -> np.ndarray:
     """``values`` as a 2-D float array, with ``columns`` columns unless that is None."""
-    try:
-        m = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged rows, or entries that are not numbers
-        raise ContractError(f"{kind} matrix must be equal-length rows of numbers: {exc}") from None
+    m = _floats(values, f"{kind} matrix must be equal-length rows of numbers")
     if m.ndim != 2 or columns not in (None, m.shape[1]):
         width = "a 2-D" if columns is None else f"an (n, {columns})"
         raise ContractError(f"expected {width} {kind} matrix, got shape {m.shape}")

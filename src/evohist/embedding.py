@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +29,7 @@ from .core import ContractError, GenerationRecord, RunHistory, _freeze
 __all__ = [
     "EmbeddingSpace",
     "as_space",
-    "HistorySample",
     "Embedding",
-    "concatenate",
     "pairwise_sq_distances",
     "classical_mds",
     "embed_history",
@@ -68,15 +65,6 @@ def _space_matrix(record: GenerationRecord, space: EmbeddingSpace) -> np.ndarray
     return record.x if space is EmbeddingSpace.SEARCH else record.y
 
 
-class HistorySample(NamedTuple):
-    """Pooled vectors from strided generations, with per-row provenance."""
-
-    vectors: np.ndarray       # (n, dim)
-    generation: np.ndarray    # (n,) generation index of each row
-    member_index: np.ndarray  # (n,) position within its generation
-    stride: int
-
-
 def sampled_generations(n_generations: int, population_size: int, max_points: int) -> tuple[list[int], int]:
     """Generation indices kept under the point cap, plus the stride used.
 
@@ -95,26 +83,6 @@ def sampled_generations(n_generations: int, population_size: int, max_points: in
     picks = [k * stride for k in range(count - 1)]
     picks.append(n_generations - 1)
     return picks, stride
-
-
-def concatenate(history: RunHistory, space, max_points: int = DEFAULT_MAX_POINTS) -> HistorySample:
-    """Pool the (strided) history into one matrix of vectors with provenance."""
-    space = as_space(space)
-    picks, stride = sampled_generations(history.n_generations, history.population_size, max_points)
-    blocks = []
-    gens = []
-    idxs = []
-    for t in picks:
-        rec = history.generations[t]
-        blocks.append(_space_matrix(rec, space))
-        gens.append(np.full(rec.size, t, dtype=np.int64))
-        idxs.append(np.arange(rec.size, dtype=np.int64))
-    return HistorySample(
-        vectors=np.vstack(blocks),
-        generation=np.concatenate(gens),
-        member_index=np.concatenate(idxs),
-        stride=stride,
-    )
 
 
 def pairwise_sq_distances(vectors) -> np.ndarray:
@@ -245,8 +213,9 @@ class Embedding:
 def embed_history(history: RunHistory, space, max_points: int = DEFAULT_MAX_POINTS) -> Embedding:
     """Sample, pool, and MDS-embed a run history; with d = 1 the second axis is zero."""
     space = as_space(space)
-    sample = concatenate(history, space, max_points)
-    xc = sample.vectors - sample.vectors.mean(axis=0)
+    picks, stride = sampled_generations(history.n_generations, history.population_size, max_points)
+    pooled = np.vstack([_space_matrix(history.generations[t], space) for t in picks])
+    xc = pooled - pooled.mean(axis=0)
     k = min(2, xc.shape[1])
     values, vectors = np.linalg.eigh(xc.T @ xc)
     top = np.zeros(2)
@@ -259,9 +228,9 @@ def embed_history(history: RunHistory, space, max_points: int = DEFAULT_MAX_POIN
         space=space,
         e1=coords[:, 0],
         e2=coords[:, 1],
-        generation=sample.generation,
-        member_index=sample.member_index,
-        stride=sample.stride,
+        generation=np.repeat(np.array(picks, dtype=np.int64), history.population_size),
+        member_index=np.tile(np.arange(history.population_size, dtype=np.int64), len(picks)),
+        stride=stride,
         eigenvalues=eigenvalues,
         degenerate=degenerate,
     )

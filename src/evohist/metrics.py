@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf, isfinite
 from operator import mul, sub
 
 import numpy as np
@@ -153,13 +153,11 @@ class ExplorationProfile:
     """Per-run exploration-exploitation summary.
 
     ``score[t, i]`` is member i of generation t; ``per_generation_median``
-    is m(t); ``overall_median`` is D* (the lower-middle median of the
-    m(t) values, so it is always one of them).
+    is m(t); ``overall_median`` is D*, derived from m(t).
     """
 
     space: EmbeddingSpace
     per_generation_median: np.ndarray
-    overall_median: float
     score: np.ndarray
 
     def __post_init__(self):
@@ -169,9 +167,12 @@ class ExplorationProfile:
             raise ContractError("profile arrays must be (n_gen, pop) scores and (n_gen,) medians")
         if not ((score >= 0) & (score <= 1)).all():
             raise ContractError("exploration scores must lie in [0, 1]")
-        if self.overall_median != _low_median(med):
-            raise ContractError("overall median must be the lower-middle median of m(t)")
         _freeze(self, space=as_space(self.space), per_generation_median=med, score=score)
+
+    @property
+    def overall_median(self) -> float:
+        """D*: the lower-middle median of the m(t) values, so always one of them."""
+        return _low_median(self.per_generation_median)
 
 
 def exploration_profile(history: RunHistory, space="search") -> ExplorationProfile:
@@ -189,12 +190,7 @@ def exploration_profile(history: RunHistory, space="search") -> ExplorationProfi
         score = np.minimum(distances / (2.0 * overall), 1.0)
     else:
         score = (distances > 0).astype(float)
-    return ExplorationProfile(
-        space=space,
-        per_generation_median=medians,
-        overall_median=overall,
-        score=score,
-    )
+    return ExplorationProfile(space=space, per_generation_median=medians, score=score)
 
 
 def _staircase_2d(points: np.ndarray, reference: np.ndarray) -> float:
@@ -368,13 +364,14 @@ def hypervolume_exact(front, reference) -> float:
     if pts.shape[0] == 0:
         return 0.0
     pts = pts[non_dominated_subset(pts)]
-    if m == 2:
-        return _staircase_2d(pts, reference)
-    if m == 3:
-        return _sweep_3d(pts, reference)
-    if m == 4:
-        return _sweep_4d(pts, reference)
-    return _slice(pts, reference)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a volume past the float range is refused below
+            volume = (_staircase_2d, _sweep_3d, _sweep_4d, _slice)[m - 2](pts, reference)
+    except OverflowError:  # fsum's intermediate overflow
+        volume = inf
+    if not isfinite(volume):
+        raise ContractError(f"hypervolume against reference {reference.tolist()} exceeds the float range")
+    return volume
 
 
 def hypervolume_mc(front, reference, samples: int, rng: np.random.Generator) -> tuple[float, float]:
@@ -454,5 +451,8 @@ def hypervolume_trace(history: RunHistory, reference="auto") -> HypervolumeTrace
     )
     values = np.empty(history.n_generations)
     for t, rec in enumerate(history.generations):
-        values[t] = hypervolume_exact(rec.y, ref)
+        try:
+            values[t] = hypervolume_exact(rec.y, ref)
+        except ContractError as exc:
+            raise ContractError(f"generation {t}: {exc}") from None
     return HypervolumeTrace(reference_point=ref, values=values)

@@ -88,24 +88,16 @@ def _check_partitions(p) -> None:
 
 @dataclass(frozen=True)
 class ReferenceDirectionSet:
-    """Unit-simplex directions used by NSGA-III niching, plus the partition count."""
+    """Unit-simplex directions used by NSGA-III niching."""
 
     directions: np.ndarray
-    partitions: int
 
     def __post_init__(self):
         dirs = _matrix(self.directions, None, "reference direction")
         if dirs.shape[1] < 2:
             raise ContractError("reference directions must form an (n, M) matrix with M >= 2")
-        _check_partitions(self.partitions)
         if not ((dirs >= 0).all() and (np.abs(dirs.sum(axis=1) - 1.0) <= 1e-12).all()):
             raise ContractError("each reference direction must be non-negative and sum to 1")
-        expected = comb(dirs.shape[1] + self.partitions - 1, self.partitions)
-        if dirs.shape[0] != expected:
-            raise ContractError(
-                f"{dirs.shape[0]} directions inconsistent with p={self.partitions} "
-                f"(expected {expected})"
-            )
         _freeze(self, directions=dirs)
 
     def __len__(self) -> int:
@@ -267,7 +259,7 @@ def das_dennis(M: int, p: int) -> ReferenceDirectionSet:
     # order, split p stars into M counts, in ascending lexicographic order.
     bars = np.array(list(combinations(range(p + M - 1), M - 1)))
     counts = np.diff(bars, axis=1, prepend=-1, append=p + M - 1) - 1
-    return ReferenceDirectionSet(directions=counts / p, partitions=p)
+    return ReferenceDirectionSet(directions=counts / p)
 
 
 def default_partitions(M: int) -> int:

@@ -1,17 +1,22 @@
 import argparse
 import gc
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evohist import cli
+from evohist import cli, read_embedding, read_hv_trace, write_embedding, write_hv_trace
 from evohist.cli import main
 from evohist.core import OperatorConfig
 
@@ -212,6 +217,14 @@ class TestHv:
         _, history, _, _ = artifacts
         assert main(["hv", "--history", str(history), "--ref", "1,1",
                      "--out", str(tmp_path / "t.csv")]) == 2
+
+    def test_volume_beyond_the_float_range_names_generation_and_reference(self, artifacts, tmp_path, capsys):
+        _, history, _, _ = artifacts
+        assert main(["hv", "--history", str(history), "--ref", "1e200,1e200,1e200",
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: generation 0: hypervolume against reference [1e+200, 1e+200, 1e+200] exceeds the float range\n")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_corrupt_history(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -624,6 +637,83 @@ def test_corrupt_csv_is_one_error_line(artifacts, tmp_path, flag, lineno, column
     [message] = result.stderr.splitlines()
     assert message.startswith(f"error: {bad}: line {lineno}:")
     assert not (tmp_path / "f.svg").exists()
+
+
+# One mutation of a CSV the writers wrote: a bad value in one field, a line duplicated, swapped,
+# deleted or cut short, CRLF line endings, or a byte-order mark.
+BAD_FIELDS = ["nan", "inf", "-inf", "1e400", "-1", "-0", "9223372036854775808", "1_0", " 1", ""]
+
+
+@st.composite
+def mutated_csv(draw, text):
+    """``text`` with one mutation from the catalogue above, and the line a refusal must name (None: any line)."""
+    lines = text.split("\n")[:-1]
+    kind = draw(st.sampled_from(["field", "duplicate", "swap", "delete", "cut", "crlf", "bom"]))
+    if kind == "crlf":
+        return "".join(line + "\r\n" for line in lines), 1
+    if kind == "bom":
+        return "\ufeff" + text, 1
+    i = draw(st.integers(1 if kind == "field" else 0, len(lines) - 1))
+    named = None
+    if kind == "field":
+        fields = lines[i].split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(BAD_FIELDS))
+        lines[i], named = ",".join(fields), i + 1
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1).filter(lambda j: j != i))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "delete":
+        del lines[i]
+    else:
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))]
+    return "".join(line + "\n" for line in lines), named
+
+
+def same_values(written, read_back, kinds):
+    """Rows equal field by field as values of their column's kind: the writer's spelling of what the reader read."""
+    def values(text):
+        return [[kind(field) for kind, field in zip(kinds, line.split(","))] for line in text.splitlines()[1:]]
+
+    # float's == would let -0.0 stand for 0.0; repr tells them apart.
+    return written.splitlines()[0] == read_back.splitlines()[0] and [list(map(repr, row)) for row in values(written)] \
+        == [list(map(repr, row)) for row in values(read_back)]
+
+
+@pytest.mark.parametrize("flag", ["--embedding", "--hv-trace"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_csv_is_refused_on_a_line_or_reads_back_as_written(artifacts, tmp_path_factory, flag, data):
+    """``render`` either exits 1 naming a line of the mutated file, or reads values the writer writes back.
+
+    Writing back what was read gives the mutated file's bytes, up to the
+    spelling of a number: ``-0`` in an integer column reads as 0, and a
+    real cut short reads as the shorter real, which ``%.17g`` prints in
+    full.
+    """
+    root, _, embedding, trace = artifacts
+    source, read, write, kinds = {
+        "--embedding": (embedding, read_embedding, lambda got, out: write_embedding(*got, out),
+                        (int, int, float, float, float, str, int)),
+        "--hv-trace": (trace, read_hv_trace, write_hv_trace, (int, float)),
+    }[flag]
+    text, named = data.draw(mutated_csv(source.read_text()))
+    work = tmp_path_factory.mktemp("mutated")
+    bad, figure, again = work / "bad.csv", work / "figure.svg", work / "again.csv"
+    bad.write_bytes(text.encode("utf-8"))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["render", flag, str(bad), "--out", str(figure)])
+    if code == 1:
+        found = re.fullmatch(rf"error: {re.escape(str(bad))}: line (\d+): [^\n]*\n", err.getvalue())
+        assert found, err.getvalue()
+        assert named in (None, int(found[1])) and 1 <= int(found[1]) <= max(2, text.count("\n"))
+        assert not figure.exists()
+        return
+    assert code == 0 and figure.exists()
+    write(read(bad), again)
+    assert again.read_text() == text or same_values(again.read_text(), text, kinds)
 
 
 @pytest.mark.parametrize("argv", [["embed", "--max-points", "10"], ["hv", "--ref", "1,1"]], ids=["embed", "hv"])

@@ -10,9 +10,11 @@ from evohist import (
     RunHistory,
     non_dominated_subset,
 )
+from conftest import synthetic_history
 from evohist.core import decision_matrix, dominance_matrix, objective_matrix
 from evohist.embedding import Embedding
-from evohist.metrics import ExplorationProfile, HypervolumeTrace
+from evohist.metrics import ExplorationProfile, HypervolumeTrace, hypervolume_exact, hypervolume_trace
+from evohist.problems import front_residual, make_spec
 from evohist.optimizer import ReferenceDirectionSet
 
 vectors = st.lists(st.floats(-10, 10, allow_nan=False), min_size=2, max_size=5)
@@ -155,13 +157,25 @@ class TestContracts:
         with pytest.raises(ContractError, match=r"expected an \(n, 3\) .* got shape \(3, 2\)"):
             check(np.full((3, 2), 0.5), 3)
 
+    @pytest.mark.parametrize("call", [
+        lambda v: hypervolume_exact([[0.5, 0.5, 0.5]], v),
+        lambda v: hypervolume_trace(synthetic_history([np.full((2, 2), 0.5)], [np.eye(2)]), v),
+        lambda v: front_residual(make_spec("dtlz2", 3), v),
+    ], ids=["hypervolume_exact", "hypervolume_trace", "front_residual"])
+    @pytest.mark.parametrize("values", ["Auto", ["a", 1.0, 1.0], [1.0, [1.0], 1.0], {"x": 1.0}],
+                             ids=["text", "text-entry", "ragged", "mapping"])
+    def test_non_numeric_objective_vector(self, call, values):
+        """Every objective vector a caller passes goes through one conversion, so no input escapes as a bare numpy error."""
+        with pytest.raises(ContractError, match="objective vector must be a non-empty 1-D sequence of numbers"):
+            call(values)
+
     @pytest.mark.parametrize("build, field", [
         (lambda a: GenerationRecord(0, a, a), "x"),
         (lambda a: GenerationRecord(0, a, a), "y"),
         (lambda a: Embedding("search", a[:, 0], a[:, 1], [0, 0], [0, 1], 1), "e1"),
-        (lambda a: ExplorationProfile("search", a[:, 0], 0.25, a), "score"),
+        (lambda a: ExplorationProfile("search", a[:, 0], a), "score"),
         (lambda a: HypervolumeTrace(a[0], a[:, 0]), "reference_point"),
-        (lambda a: ReferenceDirectionSet(a, 1), "directions"),
+        (lambda a: ReferenceDirectionSet(a), "directions"),
     ], ids=["record-x", "record-y", "embedding", "profile", "trace-reference", "directions"])
     def test_fields_are_read_only_copies(self, build, field):
         """Each array a value type stores is its own read-only copy; the caller's stays writeable."""

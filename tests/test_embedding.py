@@ -10,7 +10,6 @@ from evohist import (
     Embedding,
     EmbeddingSpace,
     classical_mds,
-    concatenate,
     embed_history,
     pairwise_sq_distances,
 )
@@ -87,27 +86,27 @@ class TestSampledGenerations:
             assert (diffs[:-1] == stride).all()
 
 
-class TestConcatenate:
-    def test_provenance_and_spaces(self):
-        xs = [np.full((2, 3), v) for v in (0.1, 0.2, 0.3)]
-        ys = [np.full((2, 2), v) for v in (5.0, 6.0, 7.0)]
+class TestEmbedHistorySample:
+    def test_provenance(self):
+        xs = [np.full((2, 3), v) + [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]] for v in (0.1, 0.2, 0.3)]
+        ys = [np.full((2, 2), v) + [[0.0, 0.0], [0.0, 1.0]] for v in (5.0, 6.0, 7.0)]
         h = synthetic_history(xs, ys)
-        sample = concatenate(h, "search")
-        assert sample.vectors.shape == (6, 3)
-        assert np.array_equal(sample.vectors, np.vstack(xs))
-        assert sample.generation.tolist() == [0, 0, 1, 1, 2, 2]
-        assert sample.member_index.tolist() == [0, 1, 0, 1, 0, 1]
-        assert sample.stride == 1
-        obj = concatenate(h, "objective")
-        assert np.array_equal(obj.vectors, np.vstack(ys))
+        for space in ("search", "objective"):
+            emb = embed_history(h, space)
+            assert (emb.generation.dtype, emb.member_index.dtype) == (np.int64, np.int64)
+            assert emb.generation.tolist() == [0, 0, 1, 1, 2, 2]
+            assert emb.member_index.tolist() == [0, 1, 0, 1, 0, 1]
+            assert emb.stride == 1
 
     def test_stride_applies(self):
-        xs = [np.full((2, 3), 0.1 * t) for t in range(5)]
-        ys = [np.full((2, 2), float(t)) for t in range(5)]
-        sample = concatenate(synthetic_history(xs, ys), "objective", max_points=4)
-        assert sample.stride == 3
-        assert sample.generation.tolist() == [0, 0, 4, 4]
-        assert np.array_equal(sample.vectors, np.vstack([ys[0], ys[4]]))
+        xs = [np.full((2, 3), 0.1 * t) + [[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]] for t in range(5)]
+        ys = [np.full((2, 2), float(t)) + [[0.0, 0.0], [0.0, 0.5]] for t in range(5)]
+        emb = embed_history(synthetic_history(xs, ys), "objective", max_points=4)
+        assert emb.stride == 3
+        assert emb.generation.tolist() == [0, 0, 4, 4]
+        assert emb.member_index.tolist() == [0, 1, 0, 1]
+        # Planar objective vectors are laid out up to a rigid motion, so only generations 0 and 4 were pooled.
+        assert pdist(np.column_stack([emb.e1, emb.e2])) == pytest.approx(pdist(np.vstack([ys[0], ys[4]])), rel=1e-12)
 
 
 class TestPairwise:
@@ -228,8 +227,7 @@ class TestEmbedding:
 
     def test_embedding_distances_match_sampled_vectors(self, short_run):
         emb = embed_history(short_run, "objective")
-        sample = concatenate(short_run, "objective")
-        raw = pdist(sample.vectors)
+        raw = pdist(np.vstack([rec.y for rec in short_run.generations]))
         laid_out = pdist(np.column_stack([emb.e1, emb.e2]))
         # a planar layout can only shrink distances, never stretch them
         assert (laid_out <= raw + 1e-8).all()
@@ -238,7 +236,7 @@ class TestEmbedding:
     def test_embed_history_matches_distance_matrix_mds(self, short_run, space):
         emb = embed_history(short_run, space)
         coords, eigenvalues, degenerate = classical_mds(
-            pairwise_sq_distances(concatenate(short_run, space).vectors)
+            pairwise_sq_distances(np.vstack([rec.x if space == "search" else rec.y for rec in short_run.generations]))
         )
         assert not emb.degenerate and not degenerate
         scale = np.abs(coords).max()

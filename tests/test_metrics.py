@@ -1,3 +1,4 @@
+import re
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -310,12 +311,16 @@ class TestExplorationProfile:
 
     def test_profile_validation(self):
         with pytest.raises(ContractError):
-            ExplorationProfile("search", np.array([1.0, 2.0]), 2.0,
-                               np.array([[0.5], [0.5]]))  # wrong overall median
-        with pytest.raises(ContractError):
-            ExplorationProfile("search", np.array([1.0]), 1.0, np.array([[1.5]]))
+            ExplorationProfile("search", np.array([1.0]), np.array([[1.5]]))
         with pytest.raises(ContractError, match=r"scores must lie in \[0, 1\]"):
-            ExplorationProfile("search", [0.1, 0.2], 0.1, [[np.nan, 0.5], [0.2, 0.3]])
+            ExplorationProfile("search", [0.1, 0.2], [[np.nan, 0.5], [0.2, 0.3]])
+        with pytest.raises(ContractError, match="profile arrays"):
+            ExplorationProfile("search", [0.1, 0.2], [[0.5]])
+
+    def test_overall_median_is_derived_from_the_generation_medians(self):
+        profile = ExplorationProfile("search", [0.3, 0.1, 0.4, 0.2], np.full((4, 1), 0.5))
+        assert profile.overall_median == 0.2
+        assert type(profile.overall_median) is float
 
 
 class TestHypervolumeExact:
@@ -332,6 +337,18 @@ class TestHypervolumeExact:
         overlap = box(np.maximum(a, b))
         expected = box(a) + box(b) - overlap
         assert hypervolume_exact([a, b], (1, 1, 1)) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("front, reference", [
+        ([[0.5, 0.5], [0.4, 0.6]], [1e200] * 2),
+        ([[0.5, 0.5, 0.5]], [1e200] * 3),
+        ([[0.5] * 4], [1e100] * 4),
+        ([[0.5] * 5], [1e100] * 5),
+        # Each slab is below the largest float, their sum is not: fsum's intermediate overflow.
+        ([[0, 5e153, 0, 0], [5e153, 0, 1, 0]], [1e154, 1e154, 3, 1]),
+    ], ids=["m2", "m3", "m4", "m5", "m4-slab-sum"])
+    def test_volume_beyond_the_float_range_is_refused_naming_the_reference(self, front, reference):
+        with pytest.raises(ContractError, match=re.escape(f"reference {[float(r) for r in reference]} exceeds")):
+            hypervolume_exact(front, reference)
 
     def test_four_objective_union_by_inclusion_exclusion(self):
         a, b = (0.5, 0.5, 0.5, 0.5), (0.25, 0.75, 0.75, 0.25)
@@ -532,6 +549,11 @@ class TestTrace:
         h = self.make_history([[(0.2, 0.6), (0.6, 0.2)]])
         with pytest.raises(ContractError):
             hypervolume_trace(h, reference=(1.0, 1.0, 1.0))
+
+    def test_volume_beyond_the_float_range_names_the_generation(self):
+        h = self.make_history([[(0.2, 0.6), (0.6, 0.2)], [(0.1, 0.5), (0.5, 0.1)]])
+        with pytest.raises(ContractError, match=r"^generation 0: hypervolume against reference \[1e\+200, 1e\+200\]"):
+            hypervolume_trace(h, reference=(1e200, 1e200))
 
     def test_trace_validation(self):
         with pytest.raises(ContractError):

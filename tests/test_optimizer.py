@@ -271,15 +271,12 @@ class TestReferenceDirections:
             das_dennis(10, 20)
 
     def test_set_validation(self):
-        with pytest.raises(ContractError):
-            ReferenceDirectionSet(np.array([[0.5, 0.6]]), partitions=1)
-        with pytest.raises(ContractError):
-            ReferenceDirectionSet(np.array([[1.0, 0.0]]), partitions=1)  # count mismatch
         with pytest.raises(ContractError, match="non-negative and sum to 1"):
-            ReferenceDirectionSet([[np.nan, np.nan], [0.0, 1.0]], partitions=1)
-        for partitions in (1.5, True, 0):
-            with pytest.raises(ContractError, match="partition count must be a positive integer"):
-                ReferenceDirectionSet([[0.5, 0.5], [1.0, 0.0]], partitions=partitions)
+            ReferenceDirectionSet(np.array([[0.5, 0.6]]))
+        with pytest.raises(ContractError, match="non-negative and sum to 1"):
+            ReferenceDirectionSet([[np.nan, np.nan], [0.0, 1.0]])
+        with pytest.raises(ContractError, match="M >= 2"):
+            ReferenceDirectionSet([[1.0], [1.0]])
 
     @pytest.mark.parametrize("directions, message", [
         ([[0.5, 0.5], [1.0]], "equal-length rows of numbers"),
@@ -287,7 +284,7 @@ class TestReferenceDirections:
     ], ids=["ragged", "1-d"])
     def test_set_refuses_non_matrix_directions(self, directions, message):
         with pytest.raises(ContractError, match=message):
-            ReferenceDirectionSet(directions, partitions=1)
+            ReferenceDirectionSet(directions)
 
     def test_default_tables(self):
         assert default_partitions(3) == 12
