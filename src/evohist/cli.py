@@ -24,9 +24,7 @@ from .core import ConfigError, ContractError, OperatorConfig
 from .embedding import DEFAULT_MAX_POINTS, EmbeddingSpace, as_space, embed_history, sampled_generations
 from .emit import (
     HistoryFormatError,
-    MalformedRecordError,
     _read_header,
-    _read_lines,
     open_atomic,
     read_embedding,
     read_history,
@@ -69,10 +67,11 @@ _OPTIONS = {
 
 
 def _load_config(path) -> dict[str, str]:
-    """Parse a key = value config file; unknown keys fail closed."""
+    """Parse a key = value config file, split at LF like every input, its last LF optional; unknown keys fail closed."""
     try:
-        lines = _read_lines(path)
-    except (OSError, MalformedRecordError) as exc:
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):

@@ -130,8 +130,8 @@ def _read_lines(path, first_only: bool = False) -> list[str]:
     """The lines of a UTF-8 text file, or only its first; bytes that are not UTF-8 make it malformed.
 
     Lines end at LF alone, as every writer here ends them: a CR, form
-    feed or other line break stays in its line, where the history and CSV
-    readers refuse it and the config reader strips it from a line's ends.
+    feed or other line break stays in its line, where the readers refuse
+    it.  A whole file whose last line has no LF was cut short.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -140,6 +140,8 @@ def _read_lines(path, first_only: bool = False) -> list[str]:
         raise MalformedRecordError(f"{path}: not UTF-8 text: {exc}") from None
     if lines[-1] == "":
         lines.pop()
+    elif not first_only:
+        raise MalformedRecordError(f"{path}: line {len(lines)}: no LF at its end; the file is cut short")
     return lines
 
 
@@ -268,11 +270,12 @@ def _parse_matrix(text: str, previous: dict[str, np.ndarray]) -> tuple[np.ndarra
 def read_history(path) -> RunHistory:
     """Parse a file written by write_history back into a RunHistory.
 
-    Each generation line must be laid out as write_history writes it.
+    Each generation line must be laid out as write_history writes it, and
+    a run's ceil(evaluation_budget / population_size) of them must follow.
     Raises FormatVersionError on a version mismatch, MalformedRecordError
-    on bytes that are not UTF-8 and (naming the line) on a bad header or a
-    line laid out any other way, and ContractError naming the line on a
-    generation that breaks a record invariant or does not fit the header.
+    on bytes that are not UTF-8 and (naming the line) on a bad header, a
+    line laid out any other way or a wrong count, and ContractError naming
+    the line on a generation that breaks a record invariant or the header.
     """
     lines = _read_lines(path)
     run_fields = _read_header(path, lines)
@@ -293,8 +296,10 @@ def read_history(path) -> RunHistory:
             raise ContractError(f"{path}: line {lineno}: {exc}") from None
         except ValueError as exc:
             raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
-    if not generations:
-        raise MalformedRecordError(f"{path}: line 2: no generation records after the header")
+    expected = max(1, -(-run_fields["evaluation_budget"] // run_fields["population_size"]))
+    if len(generations) != expected:  # named: the line after the last, or the first one too many
+        raise MalformedRecordError(f"{path}: line {min(len(lines), expected + 1) + 1}: {len(generations)} generation "
+                                   f"records, but the header's evaluation_budget and population_size make {expected}")
     return RunHistory(**run_fields, generations=tuple(generations))
 
 

@@ -447,6 +447,12 @@ class TestConfigFile:
         header = header_of(out)
         assert header["seed"] == 7 and header["population_size"] == 8
 
+    def test_config_without_final_lf_loads(self, tmp_path):
+        cfg = self.write_config(tmp_path, "problem = dtlz2\npopulation_size = 8\nevaluation_budget = 40\nseed = 7")
+        out = tmp_path / "h.jsonl"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert header_of(out)["seed"] == 7
+
     def test_flags_beat_config(self, tmp_path):
         cfg = self.write_config(tmp_path, (
             "problem = dtlz2\npopulation_size = 8\nevaluation_budget = 40\nseed = 7\n"
@@ -580,6 +586,52 @@ def test_line_break_other_than_lf_is_refused_on_its_line(artifacts, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("input_, cut", [("history", 1), ("history", 4), ("embedding", 1), ("embedding", 5),
+                                         ("hv-trace", 1), ("hv-trace", 2)])
+def test_last_line_without_lf_is_refused_on_its_line(artifacts, tmp_path, capsys, input_, cut):
+    """A file whose last line lost its LF, and with it perhaps the end of a number, exits 1 naming that line.
+
+    ``cut`` bytes come off the end: the LF alone, or the LF and a real's last digits.
+    """
+    _, history, embedding, trace = artifacts
+    source = {"history": history, "embedding": embedding, "hv-trace": trace}[input_]
+    text = source.read_bytes()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(text[:-cut])
+    argv = ["hv", "--history", str(bad)] if input_ == "history" else ["render", f"--{input_}", str(bad)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    last = text.count(b"\n")
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: line {last}: no LF at its end; the file is cut short"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_hv_trace_cut_inside_its_last_real_is_refused(tmp_path, capsys):
+    bad = tmp_path / "hv.csv"
+    bad.write_bytes(b"gen,hv\n0,0.5\n1,0.52")
+    assert main(["render", "--hv-trace", str(bad), "--out", str(tmp_path / "hv.svg")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 3: no LF at its end; the file is cut short\n"
+
+
+@pytest.mark.parametrize("edit, lineno, count", [
+    (lambda lines: lines[:-1], 11, 9),
+    (lambda lines: lines[:2], 3, 1),
+    (lambda lines: lines + [lines[-1].replace('"gen": 9,', '"gen": 10,')], 12, 11),
+], ids=["last-generation-deleted", "one-generation-left", "generation-appended"])
+@pytest.mark.parametrize("command", ["embed", "hv"])
+def test_generation_count_other_than_the_budgets_is_refused(artifacts, tmp_path, capsys, command, edit, lineno,
+                                                            count):
+    """A run of population 8 and budget 80 records 10 generations; fewer or more exit 1 naming a line."""
+    _, history, _, _ = artifacts
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(line + "\n" for line in edit(history.read_text().splitlines())))
+    out = tmp_path / "out.csv"
+    assert main([command, "--history", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: line {lineno}: {count} generation records, but the header's evaluation_budget and "
+        "population_size make 10"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, lineno, column, field", [
     ("--embedding", 3, 6, None),
     ("--embedding", 4, 1, "x"),
@@ -653,13 +705,19 @@ def mutated_csv(draw, text):
         return "".join(line + "\r\n" for line in lines), 1
     if kind == "bom":
         return "\ufeff" + text, 1
-    i = draw(st.integers(1 if kind == "field" else 0, len(lines) - 1))
-    named = None
-    if kind == "field":
-        fields = lines[i].split(",")
-        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(BAD_FIELDS))
-        lines[i], named = ",".join(fields), i + 1
-    elif kind == "duplicate":
+    if kind != "field":
+        return "".join(line + "\n" for line in edit_one_line(draw, lines, kind)), None
+    i = draw(st.integers(1, len(lines) - 1))
+    fields = lines[i].split(",")
+    fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(BAD_FIELDS))
+    lines[i] = ",".join(fields)
+    return "".join(line + "\n" for line in lines), i + 1
+
+
+def edit_one_line(draw, lines, kind):
+    """``lines`` with one line duplicated, swapped with another, deleted or cut short, as ``kind`` says."""
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "duplicate":
         lines.insert(i, lines[i])
     elif kind == "swap":
         j = draw(st.integers(0, len(lines) - 1).filter(lambda j: j != i))
@@ -668,7 +726,7 @@ def mutated_csv(draw, text):
         del lines[i]
     else:
         lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))]
-    return "".join(line + "\n" for line in lines), named
+    return lines
 
 
 def same_values(written, read_back, kinds):
@@ -714,6 +772,36 @@ def test_mutated_csv_is_refused_on_a_line_or_reads_back_as_written(artifacts, tm
     assert code == 0 and figure.exists()
     write(read(bad), again)
     assert again.read_text() == text or same_values(again.read_text(), text, kinds)
+
+
+@st.composite
+def mutated_history(draw, text):
+    """``text`` with one line duplicated, swapped, deleted or cut short, a byte-order mark first, or no final LF."""
+    kind = draw(st.sampled_from(["duplicate", "swap", "delete", "cut", "bom", "no-lf"]))
+    if kind == "bom":
+        return "\ufeff" + text
+    if kind == "no-lf":
+        return text[:-1]
+    return "".join(line + "\n" for line in edit_one_line(draw, text.split("\n")[:-1], kind))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_mutated_history_is_refused_on_a_line_or_gives_the_same_trace(artifacts, tmp_path_factory, data):
+    """``hv`` on a mutated history either exits 1 naming a line of it, or writes the unmutated file's ``hv.csv``."""
+    _, history, _, trace = artifacts
+    text = data.draw(mutated_history(history.read_text()))
+    work = tmp_path_factory.mktemp("mutated")
+    bad, out = work / "bad.jsonl", work / "hv.csv"
+    bad.write_bytes(text.encode("utf-8"))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["hv", "--history", str(bad), "--out", str(out)])
+    if code == 1:
+        assert re.fullmatch(rf"error: {re.escape(str(bad))}: line \d+: [^\n]*\n", err.getvalue()), err.getvalue()
+        assert not out.exists()
+        return
+    assert code == 0 and out.read_bytes() == trace.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [["embed", "--max-points", "10"], ["hv", "--ref", "1,1"]], ids=["embed", "hv"])

@@ -72,3 +72,16 @@ def test_readme_library_surface_names_are_exported():
     names = re.findall(r"`([^`]*)`", section.strip().split("\n\n", 1)[0])
     assert names
     assert [name for name in names if name not in evohist.__all__] == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "evohist").glob("*.py")), ids=lambda path: path.name)
+def test_every_imported_name_is_used_or_exported(path):
+    """Each name a module imports is read in it or listed in its ``__all__``: a deletion leaves no import behind."""
+    tree = ast.parse(path.read_text())
+    imported = [(alias.asname or alias.name).partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    [exported] = [ast.literal_eval(s.value) for s in tree.body
+                  if isinstance(s, ast.Assign) and [getattr(t, "id", None) for t in s.targets] == ["__all__"]]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert [name for name in imported if name not in read and name not in exported] == []
