@@ -2,11 +2,17 @@
 
 Every option is a key of ``_OPTIONS`` with the type that converts it.  A
 flag stores under its key; a ``--config`` file (``key = value`` lines,
-``#`` comments, unknown keys rejected) sets keys by name, and a command
+``#`` comments, unknown or repeated keys rejected) sets keys by name, and a command
 reads only the keys it has a flag for.  Flags beat config values, which
 beat the defaults of the module that owns the option.  Exit codes: 0
 success, 1 I/O or data errors, 2 usage or configuration errors.  Options
-are checked before any stage runs and before a history's records are read.
+are checked before any work is done and before a history's records are read.
+
+Every command computes all its outputs before it writes any, so a failure
+while computing leaves no output behind; each file is then written through
+``open_atomic``.  Every package function a command calls is looked up
+through this module's globals: the names the benchmark's tracer and the
+tests replace.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ _OPTIONS = {
 
 
 def _load_config(path) -> dict[str, str]:
-    """Parse a key = value config file, split at LF like every input, its last LF optional; unknown keys fail closed."""
+    """Parse a key = value config file split at LF, its last LF optional; unknown or repeated keys fail closed."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             lines = fh.read().split("\n")
@@ -84,6 +90,8 @@ def _load_config(path) -> dict[str, str]:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
         if key not in _OPTIONS:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}: line {lineno}: key {key!r} given twice")
         values[key] = value
     return values
 
@@ -166,7 +174,7 @@ def _check_reference(reference, M: int) -> None:
 
 
 def _check_out_dirs(*paths) -> None:
-    """Fail before a stage runs when an output's directory does not exist.
+    """Fail before any work when an output's directory does not exist, or the output is itself a directory.
 
     Raised as an OSError, so it exits 1 like the failed write it prevents.
     """
@@ -174,47 +182,16 @@ def _check_out_dirs(*paths) -> None:
         parent = Path(path).parent
         if not parent.is_dir():
             raise OSError(f"cannot write {path}: {parent} is not an existing directory")
-
-
-# Stages, shared by `pipeline` and the subcommands.  Every package
-# function a command runs is looked up through this module's globals: the
-# names the benchmark's tracer and the tests replace.
-
-
-def _run_stage(spec, run_config, operators, out):
-    history = run(spec, run_config, operators)
-    write_history(history, out)
-    return history
-
-
-def _embed_stage(history, space, max_points, profile, out):
-    embedding = embed_history(history, space, max_points)
-    scores = profile.score[embedding.generation, embedding.member_index]
-    write_embedding(embedding, scores, out)
-    return embedding, scores
-
-
-def _hv_stage(history, reference, out):
-    trace = hypervolume_trace(history, reference)
-    write_hv_trace(trace, out)
-    return trace
-
-
-def _render_history_stage(embedding, scores, out) -> None:
-    with open_atomic(out) as fh:
-        fh.write(render_history_figure(embedding, scores))
-
-
-def _render_hv_stage(trace, out) -> None:
-    with open_atomic(out) as fh:
-        fh.write(render_hv_figure(trace))
+        if Path(path).is_dir():
+            raise OSError(f"cannot write {path}: it is a directory")
 
 
 def cmd_run(args) -> int:
     _check_out_dirs(args.out)
     spec, run_config, operators = _resolve_run(_options(args))
     started = time.perf_counter()
-    history = _run_stage(spec, run_config, operators, args.out)
+    history = run(spec, run_config, operators)
+    write_history(history, args.out)
     elapsed = time.perf_counter() - started
     print(
         f"run: {spec.name} M={spec.M} {run_config.algorithm} "
@@ -230,7 +207,8 @@ def cmd_embed(args) -> int:
     _check_max_points(max_points, _read_header(args.history)["population_size"])
     history = read_history(args.history)
     profile = exploration_profile(history, metric_space)
-    embedding, _ = _embed_stage(history, space, max_points, profile, args.out)
+    embedding = embed_history(history, space, max_points)
+    write_embedding(embedding, profile.score[embedding.generation, embedding.member_index], args.out)
     print(
         f"embed: space={embedding.space} points={embedding.n_points} "
         f"stride={embedding.stride} -> {args.out}"
@@ -243,7 +221,8 @@ def cmd_hv(args) -> int:
     reference = _parse_reference(_options(args))
     _check_reference(reference, _read_header(args.history)["M"])
     history = read_history(args.history)
-    trace = _hv_stage(history, reference, args.out)
+    trace = hypervolume_trace(history, reference)
+    write_hv_trace(trace, args.out)
     print(f"hv: {len(trace)} generations -> {args.out}")
     return 0
 
@@ -251,26 +230,21 @@ def cmd_hv(args) -> int:
 def cmd_render(args) -> int:
     if not args.embedding and not args.hv_trace:
         raise ConfigError("nothing to render: pass --embedding and/or --hv-trace")
-    outputs = []
     if args.embedding and args.hv_trace:
         base = args.out[:-4] if args.out.endswith(".svg") else args.out
         history_out, hv_out = f"{base}.history.svg", f"{base}.hv.svg"
     else:
         history_out = hv_out = args.out
     _check_out_dirs(history_out, hv_out)
-    # Both inputs are read before either figure is written, so a bad one
-    # leaves no output behind.
+    figures = {}
     if args.embedding:
-        embedding, scores = read_embedding(args.embedding)
+        figures[history_out] = render_history_figure(*read_embedding(args.embedding))
     if args.hv_trace:
-        trace = read_hv_trace(args.hv_trace)
-    if args.embedding:
-        _render_history_stage(embedding, scores, history_out)
-        outputs.append(history_out)
-    if args.hv_trace:
-        _render_hv_stage(trace, hv_out)
-        outputs.append(hv_out)
-    print(f"render: wrote {', '.join(outputs)}")
+        figures[hv_out] = render_hv_figure(read_hv_trace(args.hv_trace))
+    for out, svg in figures.items():
+        with open_atomic(out) as fh:
+            fh.write(svg)
+    print(f"render: wrote {', '.join(figures)}")
     return 0
 
 
@@ -285,15 +259,28 @@ def cmd_pipeline(args) -> int:
     _check_reference(reference, spec.M)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    names = ["history.jsonl", "hv.csv", "figure.hv.svg"]
+    names += [name for space in EmbeddingSpace for name in (f"embedding.{space}.csv", f"figure.{space}.svg")]
+    _check_out_dirs(*(outdir / name for name in names))
 
     started = time.perf_counter()
-    history = _run_stage(spec, run_config, operators, outdir / "history.jsonl")
+    history = run(spec, run_config, operators)
     profile = exploration_profile(history, metric_space)
+    embeddings, figures = {}, {}
     for space in EmbeddingSpace:
-        embedding, scores = _embed_stage(history, space, max_points, profile, outdir / f"embedding.{space}.csv")
-        _render_history_stage(embedding, scores, outdir / f"figure.{space}.svg")
-    trace = _hv_stage(history, reference, outdir / "hv.csv")
-    _render_hv_stage(trace, outdir / "figure.hv.svg")
+        embedding = embed_history(history, space, max_points)
+        embeddings[space] = embedding, profile.score[embedding.generation, embedding.member_index]
+        figures[outdir / f"figure.{space}.svg"] = render_history_figure(*embeddings[space])
+    trace = hypervolume_trace(history, reference)
+    figures[outdir / "figure.hv.svg"] = render_hv_figure(trace)
+
+    write_history(history, outdir / "history.jsonl")
+    for space, (embedding, scores) in embeddings.items():
+        write_embedding(embedding, scores, outdir / f"embedding.{space}.csv")
+    write_hv_trace(trace, outdir / "hv.csv")
+    for out, svg in figures.items():
+        with open_atomic(out) as fh:
+            fh.write(svg)
     elapsed = time.perf_counter() - started
     print(
         f"pipeline: {spec.name} M={spec.M} {run_config.algorithm} "

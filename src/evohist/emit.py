@@ -31,7 +31,7 @@ import numpy as np
 from .core import ContractError, GenerationRecord, OperatorConfig, RunHistory, _check_generation, _check_run_sizes
 from .embedding import Embedding, as_space
 from .metrics import HypervolumeTrace
-from .optimizer import RNG_ALGORITHM
+from .optimizer import ALGORITHMS, RNG_ALGORITHM
 
 __all__ = [
     "HistoryFormatError",
@@ -196,8 +196,9 @@ def _read_header(path, lines: list[str] | None = None) -> dict:
 
     ``lines`` are the file's lines; without them only the first is read.
     Raises FormatVersionError or MalformedRecordError naming line 1 on a
-    bad header, and ContractError naming line 1 on sizes or operators a
-    run cannot have.
+    bad header (an algorithm ``run`` does not have, or a budget below one
+    population, included), and ContractError naming line 1 on sizes or
+    operators a run cannot have.
     """
     lines = _read_lines(path, first_only=True) if lines is None else lines
     if not lines:
@@ -222,6 +223,13 @@ def _read_header(path, lines: list[str] | None = None) -> dict:
         _, accepted, name = _JSON_TYPES[kind]
         if type(header[key]) not in accepted:
             raise MalformedRecordError(f"{path}: line 1: header field {key!r} is not {name}: {header[key]!r}")
+    if header["algorithm"] not in ALGORITHMS:
+        raise MalformedRecordError(f"{path}: line 1: header field 'algorithm' is {header['algorithm']!r}, "
+                                   f"expected one of {', '.join(ALGORITHMS)}")
+    budget, population = header["evaluation_budget"], header["population_size"]
+    if budget < population:
+        raise MalformedRecordError(f"{path}: line 1: header field 'evaluation_budget' is {budget}, "
+                                   f"below one population of {population}")
     run_fields = {key: kind(header[key]) for key, kind in _HEADER.items()}
     try:
         run_fields["operators"] = OperatorConfig(**{f.name: run_fields.pop(f.name) for f in fields(OperatorConfig)})
@@ -296,7 +304,7 @@ def read_history(path) -> RunHistory:
             raise ContractError(f"{path}: line {lineno}: {exc}") from None
         except ValueError as exc:
             raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
-    expected = max(1, -(-run_fields["evaluation_budget"] // run_fields["population_size"]))
+    expected = -(-run_fields["evaluation_budget"] // run_fields["population_size"])
     if len(generations) != expected:  # named: the line after the last, or the first one too many
         raise MalformedRecordError(f"{path}: line {min(len(lines), expected + 1) + 1}: {len(generations)} generation "
                                    f"records, but the header's evaluation_budget and population_size make {expected}")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from evohist import cli, read_embedding, read_hv_trace, write_embedding, write_hv_trace
 from evohist.cli import main
-from evohist.core import OperatorConfig
+from evohist.core import ContractError, OperatorConfig
 
 RUN_FLAGS = ["--pop", "8", "--evaluations", "80", "--seed", "5"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -393,6 +393,81 @@ class TestPipeline:
         assert not outdir.exists()
 
 
+PIPELINE_FLAGS = ["--problem", "dtlz2", "--pop", "8", "--evaluations", "40"]
+
+
+def contents(directory):
+    """Each file's name and bytes in ``directory``, or nothing if it does not exist."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()} if directory.exists() else {}
+
+
+@pytest.fixture(scope="module")
+def earlier_run(tmp_path_factory):
+    """The 7 files of an earlier pipeline run, at a seed other than the failing runs'."""
+    outdir = tmp_path_factory.mktemp("earlier") / "out"
+    assert main(["pipeline", *PIPELINE_FLAGS, "--seed", "2", "--outdir", str(outdir)]) == 0
+    assert len(contents(outdir)) == 7
+    return outdir
+
+
+class TestAllOrNone:
+    """A command that fails while computing leaves its outputs as they were: pipeline's --outdir, render's figures."""
+
+    @staticmethod
+    def outdir(tmp_path, earlier_run, prepopulated):
+        outdir = tmp_path / "out"
+        if prepopulated:
+            outdir.mkdir()
+            for name, data in contents(earlier_run).items():
+                (outdir / name).write_bytes(data)
+        return outdir
+
+    # Each compute step of pipeline, by the cli global it is called through, and the call that fails.
+    @pytest.mark.parametrize("step, call", [
+        ("run", 1), ("exploration_profile", 1), ("embed_history", 1), ("embed_history", 2),
+        ("hypervolume_trace", 1), ("render_history_figure", 1), ("render_history_figure", 2),
+        ("render_hv_figure", 1),
+    ])
+    @pytest.mark.parametrize("prepopulated", [False, True], ids=["fresh", "prepopulated"])
+    def test_failing_step_leaves_outdir_as_it_was(self, tmp_path, capsys, monkeypatch, earlier_run, prepopulated,
+                                                  step, call):
+        step_function, calls = getattr(cli, step), []
+
+        def failing(*args):
+            calls.append(step)
+            if len(calls) == call:
+                raise ContractError(f"{step} fails")
+            return step_function(*args)
+
+        monkeypatch.setattr(cli, step, failing)
+        outdir = self.outdir(tmp_path, earlier_run, prepopulated)
+        before = contents(outdir)
+        assert main(["pipeline", *PIPELINE_FLAGS, "--seed", "1", "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"error: {step} fails\n"
+        assert contents(outdir) == before
+
+    @pytest.mark.parametrize("prepopulated", [False, True], ids=["fresh", "prepopulated"])
+    def test_hypervolume_beyond_the_float_range_leaves_outdir_as_it_was(self, tmp_path, capsys, earlier_run,
+                                                                      prepopulated):
+        outdir = self.outdir(tmp_path, earlier_run, prepopulated)
+        before = contents(outdir)
+        assert main(["pipeline", "--problem", "dtlz2", "--objectives", "3", "--evaluations", "920", "--seed", "1",
+                     "--ref", "1e200,1e200,1e200", "--outdir", str(outdir)]) == 1
+        assert "exceeds the float range" in capsys.readouterr().err
+        assert outdir.is_dir() and contents(outdir) == before
+
+    def test_render_writes_no_figure_when_the_second_fails(self, artifacts, tmp_path, capsys, monkeypatch):
+        def failing(trace):
+            raise ContractError("render_hv_figure fails")
+
+        monkeypatch.setattr(cli, "render_hv_figure", failing)
+        _, _, embedding, trace = artifacts
+        assert main(["render", "--embedding", str(embedding), "--hv-trace", str(trace),
+                     "--out", str(tmp_path / "figure.svg")]) == 1
+        assert capsys.readouterr().err == "error: render_hv_figure fails\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOutputDirectory:
     STAGES = {"run": "run", "embed": "embed_history", "hv": "hypervolume_trace", "render": "render_history_figure"}
 
@@ -424,6 +499,28 @@ class TestOutputDirectory:
         blocker.write_text("")
         assert main(["run", "--problem", "dtlz2", *RUN_FLAGS, "--out", str(blocker / "h.jsonl")]) == 1
         assert "not an existing directory" in capsys.readouterr().err
+
+    def test_out_that_is_a_directory_rejected_before_running(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("run optimised before checking --out")
+
+        monkeypatch.setattr("evohist.cli.run", must_not_run)
+        target = tmp_path / "hdr"
+        target.mkdir()
+        assert main(["run", "--problem", "dtlz2", *RUN_FLAGS, "--out", str(target)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {target}: it is a directory\n"
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+    def test_pipeline_output_that_is_a_directory_rejected_before_running(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("pipeline optimised before checking its outputs")
+
+        monkeypatch.setattr("evohist.cli.run", must_not_run)
+        outdir = tmp_path / "out"
+        (outdir / "figure.objective.svg").mkdir(parents=True)
+        assert main(["pipeline", "--problem", "dtlz2", *RUN_FLAGS, "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {outdir / 'figure.objective.svg'}: it is a directory\n"
+        assert [p.name for p in outdir.iterdir()] == ["figure.objective.svg"]
 
 
 class TestConfigFile:
@@ -465,6 +562,13 @@ class TestConfigFile:
         cfg = self.write_config(tmp_path, "problem = dtlz2\nbudget = 40\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "h.jsonl")]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_key_given_twice_fails_closed(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "problem = dtlz2\nseed = 1\nseed = 2\n")
+        out = tmp_path / "h.jsonl"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 3: key 'seed' given twice\n"
+        assert not out.exists()
 
     def test_malformed_line(self, tmp_path):
         cfg = self.write_config(tmp_path, "problem dtlz2\n")
@@ -1009,6 +1113,9 @@ def test_bad_generation_is_one_error_line(artifacts, tmp_path, capsys, command, 
     ("population_size", 1, "population size must be at least 2"),
     ("mutation_probability", 1e400, "mutation probability inf outside [0, 1]"),
     ("sbx_eta", 0, "distribution indices must be finite and positive"),
+    ("evaluation_budget", -5, "header field 'evaluation_budget' is -5, below one population of 8"),
+    ("evaluation_budget", 7, "header field 'evaluation_budget' is 7, below one population of 8"),
+    ("algorithm", "bogus", "header field 'algorithm' is 'bogus', expected one of nsga2, nsga3"),
 ])
 @pytest.mark.parametrize("command", ["embed", "hv"])
 def test_impossible_header_value_names_line_1(artifacts, tmp_path, capsys, command, field, value, message):

@@ -131,6 +131,7 @@ class TestHistoryFile:
         ("M", "x"), ("D", 2.0), ("population_size", 2.5), ("evaluation_budget", None), ("seed", True),
         ("crossover_probability", [1]), ("mutation_probability", "0.1"), ("sbx_eta", False), ("pm_eta", {}),
         ("format_version", True), ("problem", 5), ("algorithm", None), ("rng_algorithm", 1),
+        ("evaluation_budget", -5), ("evaluation_budget", 1), ("algorithm", "bogus"),
     ])
     def test_mistyped_header_field_named(self, tmp_path, field, value):
         path = tmp_path / "h.jsonl"
