@@ -26,29 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, ContractError, OperatorConfig
+from .core import ALGORITHMS, PROBLEM_NAMES, ConfigError, ContractError, OperatorConfig
 from .embedding import DEFAULT_MAX_POINTS, EmbeddingSpace, as_space, embed_history, sampled_generations
-from .emit import (
-    HistoryFormatError,
-    _read_header,
-    open_atomic,
-    read_embedding,
-    read_history,
-    read_hv_trace,
-    render_history_figure,
-    render_hv_figure,
-    write_embedding,
-    write_history,
-    write_hv_trace,
-)
-from .metrics import (
-    EXACT_HV_MAX_OBJECTIVES,
-    UnsupportedDimensionError,
-    exploration_profile,
-    hypervolume_trace,
-)
-from .optimizer import ALGORITHMS, RunConfig, default_population_size, run
-from .problems import PROBLEM_NAMES, make_spec
+from .emit import (HistoryFormatError, _read_header, open_atomic, read_embedding, read_history, read_hv_trace,
+                   render_history_figure, render_hv_figure, write_embedding, write_history, write_hv_trace)
+from .metrics import EXACT_HV_MAX_OBJECTIVES, UnsupportedDimensionError, exploration_profile, hypervolume_trace
+from .optimizer import RunConfig, default_population_size, run
+from .problems import make_spec
 
 __all__ = ["main", "cmd_run", "cmd_embed", "cmd_hv", "cmd_render", "cmd_pipeline"]
 
@@ -204,7 +188,7 @@ def cmd_run(args) -> int:
 def cmd_embed(args) -> int:
     _check_out_dirs(args.out)
     space, metric_space, max_points = _resolve_embed(_options(args))
-    _check_max_points(max_points, _read_header(args.history)["population_size"])
+    _check_max_points(max_points, _read_header(args.history)[0]["population_size"])
     history = read_history(args.history)
     profile = exploration_profile(history, metric_space)
     embedding = embed_history(history, space, max_points)
@@ -219,7 +203,7 @@ def cmd_embed(args) -> int:
 def cmd_hv(args) -> int:
     _check_out_dirs(args.out)
     reference = _parse_reference(_options(args))
-    _check_reference(reference, _read_header(args.history)["M"])
+    _check_reference(reference, _read_header(args.history)[0]["M"])
     history = read_history(args.history)
     trace = hypervolume_trace(history, reference)
     write_hv_trace(trace, args.out)

@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+# The algorithms ``run`` has and the DTLZ problems ``problems`` evaluates, by the names a run records.
+ALGORITHMS = ("nsga2", "nsga3")
+PROBLEM_NAMES = ("dtlz1", "dtlz2", "dtlz3", "dtlz4", "dtlz7")
+
+
 class ContractError(ValueError):
     """An argument violated a documented precondition or invariant."""
 
@@ -102,6 +107,13 @@ def _freeze(record, **values) -> None:
             value = np.array(value)
             value.flags.writeable = False
         object.__setattr__(record, name, value)
+
+
+def _refuse(bad: np.ndarray, message: str, *columns, where=lambda i: f"entry {i}", error=ContractError) -> None:
+    """Raise ``error`` naming by ``where`` the first index where ``bad`` holds; ``columns`` fill ``message``."""
+    at = np.flatnonzero(bad)
+    if at.size:
+        raise error(f"{where(at[0])}: " + message.format(*(c[at[0]] for c in columns)))
 
 
 def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
@@ -219,6 +231,23 @@ def _check_run_sizes(M: int, D: int, population_size: int) -> None:
         raise ContractError("population size must be at least 2")
 
 
+def _check_choice(field: str, value, choices: tuple[str, ...], error: type[ValueError] = ContractError) -> None:
+    """``value`` is one of ``choices``; the message names ``field``."""
+    if value not in choices:
+        raise error(f"field {field!r} is {value!r}, expected one of {', '.join(choices)}")
+
+
+def _check_run(algorithm: str, population_size: int, evaluation_budget: int, seed: int,
+               error: type[ValueError] = ContractError) -> int:
+    """A run can have these settings; returns the ceil(budget / population) generations it records (population > 0)."""
+    _check_choice("algorithm", algorithm, ALGORITHMS, error)
+    if not 0 <= seed < 2**64:
+        raise error(f"field 'seed' is {seed}, expected an unsigned 64-bit integer")
+    if evaluation_budget < population_size:
+        raise error(f"field 'evaluation_budget' is {evaluation_budget}, below one population of {population_size}")
+    return -(-evaluation_budget // population_size)
+
+
 def _check_generation(record: GenerationRecord, t: int, M: int, D: int, population_size: int) -> None:
     """``record`` can stand at position t of a run with M objectives, D variables and population_size members."""
     if record.generation != t:
@@ -237,6 +266,8 @@ class RunHistory:
     variables.  ``generations[t]`` is the full population after t rounds of
     environmental selection; index 0 is the initial random population.
     Operator parameters ride along so serialised runs are self-describing.
+    Its problem, algorithm, seed in [0, 2^64), budget of at least one
+    population and the generations that budget gives are ones ``run`` records.
     """
 
     problem: str
@@ -251,11 +282,14 @@ class RunHistory:
 
     def __post_init__(self):
         _check_run_sizes(self.M, self.D, self.population_size)
+        _check_choice("problem", self.problem, PROBLEM_NAMES)
+        expected = _check_run(self.algorithm, self.population_size, self.evaluation_budget, self.seed)
         gens = tuple(self.generations)
-        if not gens:
-            raise ContractError("a run history must contain at least one generation")
         for t, rec in enumerate(gens):
             _check_generation(rec, t, self.M, self.D, self.population_size)
+        if len(gens) != expected:
+            raise ContractError(f"{len(gens)} generation records, but evaluation_budget {self.evaluation_budget} "
+                                f"and population_size {self.population_size} make {expected}")
         _freeze(self, generations=gens)
 
     @property

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, GenerationRecord, RunHistory, _freeze
+from .core import ContractError, GenerationRecord, RunHistory, _freeze, _refuse
 
 __all__ = [
     "EmbeddingSpace",
@@ -169,10 +169,25 @@ def _finish_layout(columns: np.ndarray, eigenvalues, b_max: float) -> tuple[np.n
     return columns * np.where(pivots < 0, -1.0, 1.0), (lam1, lam2), False
 
 
+def _check_stride(stride: int) -> None:
+    """A sampling stride is a positive number of generations."""
+    if stride < 1:
+        raise ContractError(f"stride must be positive, got {stride}")
+
+
+def _check_points(generation: np.ndarray, member_index: np.ndarray, refuse=_refuse) -> None:
+    """Every (generation, member_index) pair is non-negative and comes strictly after the pair before it."""
+    refuse((generation < 0) | (member_index < 0), "gen {}, idx {} must be non-negative", generation, member_index)
+    same = generation[1:] == generation[:-1]
+    rising = (generation[1:] > generation[:-1]) | (same & (member_index[1:] > member_index[:-1]))
+    refuse(np.r_[False, ~rising], "gen {}, idx {} does not come after the pair before it", generation, member_index)
+
+
 @dataclass(frozen=True)
 class Embedding:
     """A 2-D MDS layout of a sampled history, with per-point provenance.
 
+    Coordinates are finite, the stride positive, and (generation, member_index) non-negative and strictly rising.
     ``eigenvalues`` is None for embeddings re-read from disk, where only
     the coordinates survive.
     """
@@ -194,8 +209,10 @@ class Embedding:
         n = e1.shape[0]
         if not (e1.shape == e2.shape == gen.shape == idx.shape) or e1.ndim != 1 or n == 0:
             raise ContractError("embedding columns must be non-empty and equal-length")
-        if self.stride < 1:
-            raise ContractError(f"stride must be positive, got {self.stride}")
+        if not (np.isfinite(e1).all() and np.isfinite(e2).all()):
+            raise ContractError("embedded coordinates must be finite")
+        _check_stride(self.stride)
+        _check_points(gen, idx)
         if self.eigenvalues is not None and not self.degenerate:
             lam1, lam2 = self.eigenvalues
             if lam2 > lam1 or lam2 < -1e-8 * lam1:

@@ -25,13 +25,15 @@ import os
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
-from .core import ContractError, GenerationRecord, OperatorConfig, RunHistory, _check_generation, _check_run_sizes
-from .embedding import Embedding, as_space
-from .metrics import HypervolumeTrace
-from .optimizer import ALGORITHMS, RNG_ALGORITHM
+from .core import (PROBLEM_NAMES, ContractError, GenerationRecord, OperatorConfig, RunHistory, _check_choice,
+                   _check_generation, _check_run, _check_run_sizes, _refuse)
+from .embedding import Embedding, _check_points, _check_stride, as_space
+from .metrics import HypervolumeTrace, _check_hv_values, _check_scores
+from .optimizer import RNG_ALGORITHM
 
 __all__ = [
     "HistoryFormatError",
@@ -191,14 +193,14 @@ def write_history(history: RunHistory, path) -> None:
             fh.write(f'{{"gen": {rec.generation}, "x": [{", ".join(x_texts)}], "y": [{", ".join(y_texts)}]}}\n')
 
 
-def _read_header(path, lines: list[str] | None = None) -> dict:
+def _read_header(path, lines: list[str] | None = None) -> tuple[dict, int]:
     """The run fields of a history's header line, ``operators`` included, as RunHistory takes them.
 
+    Returns them with the number of generations such a run records.
     ``lines`` are the file's lines; without them only the first is read.
-    Raises FormatVersionError or MalformedRecordError naming line 1 on a
-    bad header (an algorithm ``run`` does not have, or a budget below one
-    population, included), and ContractError naming line 1 on sizes or
-    operators a run cannot have.
+    Raises FormatVersionError or MalformedRecordError naming line 1 on a bad
+    header, a field RunHistory refuses included, and ContractError naming
+    line 1 on sizes or operators a run cannot have.
     """
     lines = _read_lines(path, first_only=True) if lines is None else lines
     if not lines:
@@ -213,9 +215,7 @@ def _read_header(path, lines: list[str] | None = None) -> dict:
         raise MalformedRecordError(f"{path}: line 1: expected a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
-        raise FormatVersionError(
-            f"{path}: line 1: format_version {version!r}, this reader supports {FORMAT_VERSION}"
-        )
+        raise FormatVersionError(f"{path}: line 1: format_version {version!r}, this reader supports {FORMAT_VERSION}")
     missing = [k for k in _HEADER if k not in header]
     if missing:
         raise MalformedRecordError(f"{path}: line 1: header missing fields {', '.join(missing)}")
@@ -223,21 +223,20 @@ def _read_header(path, lines: list[str] | None = None) -> dict:
         _, accepted, name = _JSON_TYPES[kind]
         if type(header[key]) not in accepted:
             raise MalformedRecordError(f"{path}: line 1: header field {key!r} is not {name}: {header[key]!r}")
-    if header["algorithm"] not in ALGORITHMS:
-        raise MalformedRecordError(f"{path}: line 1: header field 'algorithm' is {header['algorithm']!r}, "
-                                   f"expected one of {', '.join(ALGORITHMS)}")
-    budget, population = header["evaluation_budget"], header["population_size"]
-    if budget < population:
-        raise MalformedRecordError(f"{path}: line 1: header field 'evaluation_budget' is {budget}, "
-                                   f"below one population of {population}")
     run_fields = {key: kind(header[key]) for key, kind in _HEADER.items()}
     try:
         run_fields["operators"] = OperatorConfig(**{f.name: run_fields.pop(f.name) for f in fields(OperatorConfig)})
         _check_run_sizes(run_fields["M"], run_fields["D"], run_fields["population_size"])
     except ContractError as exc:
         raise ContractError(f"{path}: line 1: {exc}") from None
+    try:
+        _check_choice("problem", run_fields["problem"], PROBLEM_NAMES)
+        n_generations = _check_run(run_fields["algorithm"], run_fields["population_size"],
+                                   run_fields["evaluation_budget"], run_fields["seed"])
+    except ContractError as exc:
+        raise MalformedRecordError(f"{path}: line 1: header {exc}") from None
     del run_fields["format_version"], run_fields["rng_algorithm"]
-    return run_fields
+    return run_fields, n_generations
 
 
 # A generation line cut at the separators write_history joins it with:
@@ -245,31 +244,40 @@ def _read_header(path, lines: list[str] | None = None) -> dict:
 _GENERATION_LINE = re.compile(r'\{"gen": (0|[1-9][0-9]*), "x": \[\[([^"]*)\]\], "y": \[\[([^"]*)\]\]\}')
 
 
-def _parse_matrix(text: str, previous: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """A matrix as write_history prints it between ``[[`` and ``]]``: rows joined by ``], [``, values by ``, ``.
+def _fields(rows: list[str], separator: str, width: int) -> list[str]:
+    """The fields of ``rows`` in order, each row cut at ``separator`` into ``width`` of them.
 
-    Each space must be a separator's: every row holds the same number of
-    spaces, and the values number one more than that per row.  Raises
-    ValueError otherwise, on ``_``, a tab or other whitespace, or non-ASCII
-    text, which numpy's float parser skips or reads, and on a value it
-    cannot read.
+    ValueError on a row with another count, or on a field holding ``_``, whitespace or a non-ASCII character.
+    """
+    for row in rows:
+        if row.count(separator) != width - 1:
+            raise ValueError(f"expected {width} fields, got {row.count(separator) + 1}")
+    fields = separator.join(rows).split(separator) if rows else []
+    text = "".join(fields)
+    if not text.isascii() or "_" in text or (text and text.split() != [text]):
+        raise ValueError("a field holds '_', whitespace or a non-ASCII character")
+    return fields
+
+
+def _numbers(texts: list[str], kind) -> np.ndarray:
+    """``texts`` through Python's ``int`` into int64, or its ``float`` into float64."""
+    return np.fromiter(map(kind, texts), np.int64 if kind is int else float, len(texts))
+
+
+def _parse_matrix(text: str, width: int, previous: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A ``width``-column matrix as write_history prints it between ``[[`` and ``]]``: rows joined by ``], [``.
 
     ``previous`` maps each row text of the matrix one generation before to
     its parsed row.  A row found there was checked and parsed then, and
-    equal text parses to equal bits, so it is reused; only the rest are
-    parsed, in one call.  Returns the matrix and its own text → row map.
+    equal text parses to equal bits, so it is reused; only the rest go
+    through ``_fields`` and ``_numbers``, whose ValueError passes through.
+    Returns the matrix and its own text → row map.
     """
     rows = text.split("], [")
-    spaces = {row.count(" ") for row in rows}
-    width = max(spaces) + 1
     parsed = list(map(previous.get, rows))
     new = [i for i, row in enumerate(parsed) if row is None]
-    values = ", ".join([rows[i] for i in new]).split(", ") if new else []
-    if len(spaces) != 1 or len(values) != len(new) * width:
-        raise ValueError("matrix rows differ in length or hold a space outside a separator")
-    if not text.isascii() or any(c in text for c in "_\t\r\x0b\x0c"):
-        raise ValueError("a value holds '_', a tab or other whitespace, or a non-ASCII character")
-    for i, row in zip(new, np.array(values, dtype=float).reshape(-1, width)):
+    values = _numbers(_fields([rows[i] for i in new], ", ", width), float)
+    for i, row in zip(new, values.reshape(-1, width)):
         parsed[i] = row
     matrix = np.array(parsed)
     return matrix, dict(zip(rows, matrix))
@@ -286,7 +294,7 @@ def read_history(path) -> RunHistory:
     the line on a generation that breaks a record invariant or the header.
     """
     lines = _read_lines(path)
-    run_fields = _read_header(path, lines)
+    run_fields, expected = _read_header(path, lines)
     generations = []
     seen_x: dict[str, np.ndarray] = {}
     seen_y: dict[str, np.ndarray] = {}
@@ -295,8 +303,8 @@ def read_history(path) -> RunHistory:
         try:
             if line is None:
                 raise ValueError('expected {"gen": t, "x": [[...]], "y": [[...]]} as write_history writes it')
-            x, seen_x = _parse_matrix(line[2], seen_x)
-            y, seen_y = _parse_matrix(line[3], seen_y)
+            x, seen_x = _parse_matrix(line[2], run_fields["D"], seen_x)
+            y, seen_y = _parse_matrix(line[3], run_fields["M"], seen_y)
             generations.append(GenerationRecord(int(line[1]), x, y))
             _check_generation(generations[-1], lineno - 2, run_fields["M"], run_fields["D"],
                               run_fields["population_size"])
@@ -304,23 +312,22 @@ def read_history(path) -> RunHistory:
             raise ContractError(f"{path}: line {lineno}: {exc}") from None
         except ValueError as exc:
             raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
-    expected = -(-run_fields["evaluation_budget"] // run_fields["population_size"])
-    if len(generations) != expected:  # named: the line after the last, or the first one too many
-        raise MalformedRecordError(f"{path}: line {min(len(lines), expected + 1) + 1}: {len(generations)} generation "
-                                   f"records, but the header's evaluation_budget and population_size make {expected}")
-    return RunHistory(**run_fields, generations=tuple(generations))
+    try:
+        return RunHistory(**run_fields, generations=tuple(generations))
+    except ContractError as exc:  # every line passed its checks, so only their count can be wrong
+        # Named: the line after the last, or the first one too many.
+        raise MalformedRecordError(f"{path}: line {min(len(generations), expected) + 2}: {exc}") from None
 
 
 EMBEDDING_CSV_HEADER = "gen,idx,e1,e2,score,space,stride"
 
 
-def _point_scores(embedding: Embedding, scores) -> np.ndarray:
-    """The scores as floats, checked to be one per embedded point."""
+def _point_scores(embedding: Embedding, scores, refuse=_refuse) -> np.ndarray:
+    """The scores as floats, checked to be one per embedded point, each in [0, 1]; ``refuse`` names a bad one."""
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (embedding.n_points,):
-        raise ContractError(
-            f"need one score per embedded point ({embedding.n_points}), got shape {scores.shape}"
-        )
+        raise ContractError(f"need one score per embedded point ({embedding.n_points}), got shape {scores.shape}")
+    _check_scores(scores, refuse)
     return scores
 
 
@@ -339,24 +346,13 @@ def _write_table(path, header: str, row_template: str, columns) -> None:
 
 
 def _columns(rows: list[str], kinds) -> list:
-    """CSV rows as one column per kind: ``int`` and ``float`` through Python's own into int64 and float64 arrays.
+    """CSV rows as one column per kind, read by ``_fields`` and ``_numbers``; a ``str`` column stays as its texts.
 
-    A ``str`` column stays as its texts.  A row without one field per
-    kind, a field with ``_``, whitespace or non-ASCII text (which Python's
-    ``int`` and ``float`` skip or read), a text its kind rejects, or a
-    non-finite ``float`` (``nan``, ``inf``, ``1e999``) raises ValueError;
-    an integer beyond int64 raises OverflowError.
+    Their ValueError passes through; a non-finite ``float`` raises one too, an integer beyond int64 OverflowError.
     """
     k = len(kinds)
-    for row in rows:
-        if row.count(",") != k - 1:
-            raise ValueError(f"expected {k} fields, got {row.count(',') + 1}")
-    text = ",".join(rows)
-    if not text.isascii() or "_" in text or text.split() != [text]:
-        raise ValueError("a field holds '_', whitespace or a non-ASCII character")
-    texts = text.split(",")
-    columns = [texts[c::k] if kind is str else np.fromiter(map(kind, texts[c::k]), np.int64 if kind is int else float)
-               for c, kind in enumerate(kinds)]
+    texts = _fields(rows, ",", k)
+    columns = [texts[c::k] if kind is str else _numbers(texts[c::k], kind) for c, kind in enumerate(kinds)]
     for c, kind in enumerate(kinds):
         if kind is float and not np.isfinite(columns[c]).all():
             raise ValueError(f"field {c + 1} is not a finite number")
@@ -385,47 +381,37 @@ def _read_table(path, header: str, kinds) -> list:
         raise
 
 
-def _refuse_rows(path, bad: np.ndarray, message: str, *columns) -> None:
-    """Raise MalformedRecordError naming the line of the first row where ``bad`` holds; ``columns`` fill ``message``."""
-    rows = np.flatnonzero(bad)
-    if rows.size:
-        raise MalformedRecordError(f"{path}: line {rows[0] + 2}: " + message.format(*(c[rows[0]] for c in columns)))
-
-
 def write_embedding(embedding: Embedding, scores, path) -> None:
-    """Write an embedding plus its exploration scores, one per point, as CSV.
+    """Write an embedding and one exploration score in [0, 1] per point as CSV, by one ``%.17g`` template.
 
-    Rows are sorted by (gen, idx) and formatted by one ``%.17g`` template.
+    Rows come in the embedding's own order, which rises in (gen, idx), so there is no sort.
     """
     scores = _point_scores(embedding, scores)
-    order = np.lexsort((embedding.member_index, embedding.generation))
-    columns = (embedding.generation, embedding.member_index, embedding.e1, embedding.e2, scores)
     _write_table(path, EMBEDDING_CSV_HEADER, f"%d,%d,%.17g,%.17g,%.17g,{embedding.space},{embedding.stride}\n",
-                 [c[order] for c in columns])
+                 (embedding.generation, embedding.member_index, embedding.e1, embedding.e2, scores))
 
 
 def read_embedding(path) -> tuple[Embedding, np.ndarray]:
     """Parse an embedding CSV back into (Embedding, score array).
 
-    Every row is parsed first; then line 2's space and positive stride are
-    checked, every later row must repeat them, no ``gen`` or ``idx`` may be
-    negative, (gen, idx) must rise strictly from row to row as the writer
-    sorts them, and every score must lie in [0, 1].
+    Every row is parsed first; then line 2's space and stride must pass
+    Embedding's rules and every later row repeat them, and the (gen, idx)
+    pairs and scores must pass the rules Embedding and write_embedding
+    apply.  A broken rule names the first line that breaks it.
     """
     gen, idx, e1, e2, scores, spaces, strides = _read_table(
         path, EMBEDDING_CSV_HEADER, (int, int, float, float, float, str, int))
     try:
         space = as_space(spaces[0])
+        _check_stride(strides[0])
     except ContractError as exc:
         raise MalformedRecordError(f"{path}: line 2: {exc}") from None
-    _refuse_rows(path, strides[:1] < 1, "stride {} must be positive", strides)
-    _refuse_rows(path, (np.asarray(spaces) != spaces[0]) | (strides != strides[0]),
-                 "space/stride differ from line 2's, must be constant")
-    _refuse_rows(path, (gen < 0) | (idx < 0), "gen {}, idx {} must be non-negative", gen, idx)
-    rising = (gen[1:] > gen[:-1]) | ((gen[1:] == gen[:-1]) & (idx[1:] > idx[:-1]))
-    _refuse_rows(path, np.r_[False, ~rising], "gen {}, idx {} does not come after the row above's", gen, idx)
-    _refuse_rows(path, (scores < 0) | (scores > 1), "score {} outside [0, 1]", scores)
-    return Embedding(space, e1, e2, gen, idx, stride=int(strides[0])), scores
+    refuse = partial(_refuse, where=lambda row: f"{path}: line {row + 2}", error=MalformedRecordError)
+    refuse((np.asarray(spaces) != spaces[0]) | (strides != strides[0]),
+           "space/stride differ from line 2's, must be constant")
+    _check_points(gen, idx, refuse)
+    embedding = Embedding(space, e1, e2, gen, idx, stride=int(strides[0]))
+    return embedding, _point_scores(embedding, scores, refuse)
 
 
 HV_CSV_HEADER = "gen,hv"
@@ -439,11 +425,13 @@ def write_hv_trace(trace: HypervolumeTrace, path) -> None:
 def read_hv_trace(path) -> HypervolumeTrace:
     """Parse a trace CSV; the reference point is not stored, so it is None.
 
-    Every row is parsed before ``gen`` is checked to count 0, 1, 2, … and ``hv`` to be non-negative.
+    Every row is parsed before ``gen`` is checked to count 0, 1, 2, … and
+    ``hv`` to pass HypervolumeTrace's rule (finite and non-negative).
     """
     gen, values = _read_table(path, HV_CSV_HEADER, (int, float))
-    _refuse_rows(path, gen != np.arange(gen.size), "gen {}, expected {}", gen, np.arange(gen.size))
-    _refuse_rows(path, values < 0, "hv {} is negative", values)
+    refuse = partial(_refuse, where=lambda row: f"{path}: line {row + 2}", error=MalformedRecordError)
+    refuse(gen != np.arange(gen.size), "gen {}, expected {}", gen, np.arange(gen.size))
+    _check_hv_values(values, refuse)
     return HypervolumeTrace(reference_point=None, values=values)
 
 

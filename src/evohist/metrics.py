@@ -42,15 +42,8 @@ from operator import mul, sub
 
 import numpy as np
 
-from .core import (
-    ContractError,
-    GenerationRecord,
-    RunHistory,
-    _freeze,
-    non_dominated_subset,
-    objective_matrix,
-    objective_vector,
-)
+from .core import (ContractError, GenerationRecord, RunHistory, _freeze, _refuse, non_dominated_subset,
+                   objective_matrix, objective_vector)
 from .embedding import EmbeddingSpace, _space_matrix, _sq_diff_sum, as_space
 
 __all__ = [
@@ -148,6 +141,11 @@ def _row_medians(values: np.ndarray) -> np.ndarray:
     return ordered[:, half] if ordered.shape[1] % 2 else (ordered[:, half - 1] + ordered[:, half]) / 2.0
 
 
+def _check_scores(scores: np.ndarray, refuse=_refuse) -> None:
+    """Every exploration score lies in [0, 1]; NaN does not."""
+    refuse(~((scores >= 0) & (scores <= 1)), "score {} outside [0, 1]", scores)
+
+
 @dataclass(frozen=True)
 class ExplorationProfile:
     """Per-run exploration-exploitation summary.
@@ -165,8 +163,7 @@ class ExplorationProfile:
         score = np.asarray(self.score, dtype=float)
         if score.ndim != 2 or med.ndim != 1 or score.shape[0] != med.shape[0]:
             raise ContractError("profile arrays must be (n_gen, pop) scores and (n_gen,) medians")
-        if not ((score >= 0) & (score <= 1)).all():
-            raise ContractError("exploration scores must lie in [0, 1]")
+        _check_scores(score.ravel())
         _freeze(self, space=as_space(self.space), per_generation_median=med, score=score)
 
     @property
@@ -410,6 +407,11 @@ def auto_reference(history: RunHistory) -> np.ndarray:
     return 1.1 * peak
 
 
+def _check_hv_values(values: np.ndarray, refuse=_refuse) -> None:
+    """Every hypervolume is finite and non-negative."""
+    refuse(~((values >= 0) & (values < inf)), "hv {} must be finite and non-negative", values)
+
+
 @dataclass(frozen=True)
 class HypervolumeTrace:
     """Per-generation hypervolume against one fixed reference point.
@@ -426,8 +428,7 @@ class HypervolumeTrace:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ContractError("a hypervolume trace needs at least one value")
-        if (values < 0).any() or not np.isfinite(values).all():
-            raise ContractError("hypervolume values must be finite and non-negative")
+        _check_hv_values(values)
         ref = self.reference_point
         _freeze(self, values=values, reference_point=None if ref is None else objective_vector(ref))
 

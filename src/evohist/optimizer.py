@@ -20,17 +20,8 @@ from math import comb
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    ContractError,
-    GenerationRecord,
-    OperatorConfig,
-    RunHistory,
-    _freeze,
-    _matrix,
-    dominance_matrix,
-    objective_matrix,
-)
+from .core import (ConfigError, ContractError, GenerationRecord, OperatorConfig, RunHistory, _check_run, _freeze,
+                   _matrix, dominance_matrix, objective_matrix)
 from .problems import ProblemSpec, evaluate_batch
 
 __all__ = [
@@ -49,8 +40,6 @@ __all__ = [
     "run",
 ]
 
-ALGORITHMS = ("nsga2", "nsga3")
-
 # History-header tag for the draw order of ``run``; emit writes it.
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -67,17 +56,9 @@ class RunConfig:
     algorithm: str = "nsga2"
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {', '.join(ALGORITHMS)}")
         if self.population_size < 4 or self.population_size % 2:
             raise ConfigError(f"population size must be even and at least 4, got {self.population_size}")
-        if self.evaluation_budget < self.population_size:
-            raise ConfigError(
-                f"evaluation budget {self.evaluation_budget} cannot cover one "
-                f"population of {self.population_size}"
-            )
-        if not 0 <= int(self.seed) < 2**64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        _check_run(self.algorithm, self.population_size, self.evaluation_budget, self.seed, ConfigError)
 
 
 def _check_partitions(p) -> None:

@@ -21,15 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, decision_matrix, objective_vector
+from .core import PROBLEM_NAMES, ConfigError, _check_choice, decision_matrix, objective_vector
 
 __all__ = ["ProblemSpec", "make_spec", "evaluate_batch", "front_residual", "DEFAULT_K"]
 
-# Distance-variable counts per problem; the remaining M-1 variables are
-# positional.
-DEFAULT_K = {"dtlz1": 5, "dtlz2": 10, "dtlz3": 10, "dtlz4": 10, "dtlz7": 20}
-
-PROBLEM_NAMES = tuple(DEFAULT_K)
+# Distance-variable counts per problem, in PROBLEM_NAMES order; the
+# remaining M-1 variables are positional.
+DEFAULT_K = dict(zip(PROBLEM_NAMES, (5, 10, 10, 10, 20)))
 
 _DTLZ4_ALPHA = 100.0
 
@@ -43,8 +41,7 @@ class ProblemSpec:
     k: int
 
     def __post_init__(self):
-        if self.name not in PROBLEM_NAMES:
-            raise ConfigError(f"unknown problem {self.name!r}; expected one of {', '.join(PROBLEM_NAMES)}")
+        _check_choice("problem", self.name, PROBLEM_NAMES, ConfigError)
         if self.M < 2:
             raise ConfigError(f"M must be at least 2, got {self.M}")
         if self.k < 1:
@@ -56,13 +53,10 @@ class ProblemSpec:
 
 
 def make_spec(name: str, M: int, k: int | None = None) -> ProblemSpec:
-    """Build a ProblemSpec, filling in the conventional k when not given."""
-    if not isinstance(name, str) or name.lower() not in DEFAULT_K:
-        raise ConfigError(f"unknown problem {name!r}; expected one of {', '.join(PROBLEM_NAMES)}")
-    name = name.lower()
-    if k is None:
-        k = DEFAULT_K[name]
-    return ProblemSpec(name=name, M=int(M), k=int(k))
+    """Build a ProblemSpec from a name in any case, filling in the conventional k when not given."""
+    name = str(name).lower()
+    # ProblemSpec refuses an unknown name before it reads k, so the 0 is never used.
+    return ProblemSpec(name=name, M=int(M), k=DEFAULT_K.get(name, 0) if k is None else int(k))
 
 
 def _g_rastrigin(x_dist: np.ndarray) -> np.ndarray:

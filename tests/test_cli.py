@@ -731,8 +731,8 @@ def test_generation_count_other_than_the_budgets_is_refused(artifacts, tmp_path,
     out = tmp_path / "out.csv"
     assert main([command, "--history", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {bad}: line {lineno}: {count} generation records, but the header's evaluation_budget and "
-        "population_size make 10"]
+        f"error: {bad}: line {lineno}: {count} generation records, but evaluation_budget 80 and population_size 8 "
+        "make 10"]
     assert not out.exists()
 
 
@@ -1078,8 +1078,8 @@ def rewrite_generation(history, lineno, edit, out):
 @pytest.mark.parametrize("lineno, edit, message", [
     (3, lambda r: r["x"][0].__setitem__(1, float("nan")), "decision variable 1 = nan lies outside [0, 1]"),
     (3, lambda r: (r["x"].pop(), r["y"].pop()), "generation 1 has 7 members, expected population size 8"),
-    (4, lambda r: r.update(y=[row[:2] for row in r["y"]]), "generation 2 does not match the declared D/M dimensions"),
-    (5, lambda r: r.update(x=[row[:-1] for row in r["x"]]), "generation 3 does not match the declared D/M dimensions"),
+    (4, lambda r: r.update(y=[row[:2] for row in r["y"]]), "expected 3 fields, got 2"),
+    (5, lambda r: r.update(x=[row[:-1] for row in r["x"]]), "expected 12 fields, got 11"),
     (2, lambda r: r["x"][4].__setitem__(0, -1e-300), "decision variable 0 = -1e-300 lies outside [0, 1]"),
     (6, lambda r: r["y"][2].__setitem__(1, float("inf")), "objective 1 = inf in row 2 is not finite"),
     (3, lambda r: r.update(gen=True), LAYOUT),
@@ -1116,6 +1116,10 @@ def test_bad_generation_is_one_error_line(artifacts, tmp_path, capsys, command, 
     ("evaluation_budget", -5, "header field 'evaluation_budget' is -5, below one population of 8"),
     ("evaluation_budget", 7, "header field 'evaluation_budget' is 7, below one population of 8"),
     ("algorithm", "bogus", "header field 'algorithm' is 'bogus', expected one of nsga2, nsga3"),
+    ("seed", -1, "header field 'seed' is -1, expected an unsigned 64-bit integer"),
+    ("seed", 2**64, "header field 'seed' is 18446744073709551616, expected an unsigned 64-bit integer"),
+    ("problem", "bogus", "header field 'problem' is 'bogus', expected one of dtlz1, dtlz2, dtlz3, dtlz4, dtlz7"),
+    ("problem", "DTLZ2", "header field 'problem' is 'DTLZ2', expected one of dtlz1, dtlz2, dtlz3, dtlz4, dtlz7"),
 ])
 @pytest.mark.parametrize("command", ["embed", "hv"])
 def test_impossible_header_value_names_line_1(artifacts, tmp_path, capsys, command, field, value, message):

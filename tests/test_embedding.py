@@ -200,12 +200,12 @@ class TestEmbedding:
     def test_stride_checked(self):
         with pytest.raises(ContractError):
             Embedding("search", np.zeros(2), np.zeros(2), np.zeros(2, dtype=int),
-                      np.zeros(2, dtype=int), stride=0)
+                      np.arange(2), stride=0)
 
     def test_eigenvalue_order_checked(self):
         with pytest.raises(ContractError):
             Embedding("search", np.array([1.0, -1.0]), np.zeros(2),
-                      np.zeros(2, dtype=int), np.zeros(2, dtype=int),
+                      np.zeros(2, dtype=int), np.arange(2),
                       stride=1, eigenvalues=(1.0, 2.0))
 
     def test_embed_history(self, short_run):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -13,9 +14,11 @@ from evohist import (
     ContractError,
     Embedding,
     FormatVersionError,
+    GenerationRecord,
     HypervolumeTrace,
     MalformedRecordError,
     OperatorConfig,
+    RunHistory,
     embed_history,
     exploration_profile,
     hypervolume_trace,
@@ -29,14 +32,15 @@ from evohist import (
     write_hv_trace,
 )
 from evohist import emit
+from evohist.core import ALGORITHMS, PROBLEM_NAMES
 from evohist.embedding import as_space
 from evohist.emit import COLOUR_ANCHORS, _row_texts, open_atomic
 
 
 # The message read_history gives for a generation line laid out other than as write_history writes it.
 LAYOUT = 'expected {"gen": t, "x": [[...]], "y": [[...]]} as write_history writes it'
-# ... and for a matrix whose rows differ in length or hold a space that no separator accounts for.
-ROWS = "matrix rows differ in length or hold a space outside a separator"
+# ... and for a field holding '_', whitespace or a non-ASCII character, in a matrix or a CSV.
+UNPLAIN = "a field holds '_', whitespace or a non-ASCII character"
 
 
 def tiny_history():
@@ -132,6 +136,7 @@ class TestHistoryFile:
         ("crossover_probability", [1]), ("mutation_probability", "0.1"), ("sbx_eta", False), ("pm_eta", {}),
         ("format_version", True), ("problem", 5), ("algorithm", None), ("rng_algorithm", 1),
         ("evaluation_budget", -5), ("evaluation_budget", 1), ("algorithm", "bogus"),
+        ("seed", -1), ("seed", 2**64), ("problem", "bogus"), ("problem", "DTLZ2"),
     ])
     def test_mistyped_header_field_named(self, tmp_path, field, value):
         path = tmp_path / "h.jsonl"
@@ -202,16 +207,20 @@ class TestEmbeddingFile:
         expected = [profile.score[g, i] for g, i in zip(emb.generation, emb.member_index)]
         assert np.array_equal(scores, expected)
 
-    def test_rows_sorted_even_from_shuffled_embedding(self, tmp_path):
+    def test_rows_come_in_the_embeddings_own_order(self, tmp_path):
         emb = Embedding("search", np.array([3.0, 1.0, 2.0]), np.array([30.0, 10.0, 20.0]),
-                        np.array([1, 0, 0]), np.array([0, 1, 0]), stride=2)
+                        np.array([0, 0, 1]), np.array([0, 1, 0]), stride=2)
         path = tmp_path / "e.csv"
         write_embedding(emb, np.array([0.3, 0.1, 0.2]), path)
         rows = path.read_text().splitlines()
         assert rows[0] == "gen,idx,e1,e2,score,space,stride"
-        assert [r.split(",")[:2] for r in rows[1:]] == [["0", "0"], ["0", "1"], ["1", "0"]]
-        assert rows[1].split(",")[2] == "2"  # e1 of (gen 0, idx 0)
-        assert rows[3].split(",")[4] == format(0.3, ".17g")
+        assert [r.split(",")[:3] for r in rows[1:]] == [["0", "0", "3"], ["0", "1", "1"], ["1", "0", "2"]]
+        assert rows[1].split(",")[4] == format(0.3, ".17g")
+
+    def test_shuffled_embedding_is_refused(self):
+        with pytest.raises(ContractError, match=r"entry 1: gen 0, idx 1 does not come after the pair before it"):
+            Embedding("search", np.array([3.0, 1.0, 2.0]), np.array([30.0, 10.0, 20.0]),
+                      np.array([1, 0, 0]), np.array([0, 1, 0]), stride=2)
 
     def test_score_array_must_align(self, tmp_path):
         emb = Embedding("search", np.zeros(3), np.zeros(3),
@@ -459,7 +468,7 @@ class TestHistoryReaderReuse:
 
     def test_a_row_found_in_previous_is_taken_from_there(self):
         previous = {"0.5, 0.25": np.array([9.0, 9.0])}
-        matrix, seen = emit._parse_matrix("0.5, 0.25], [0.75, 1", previous)
+        matrix, seen = emit._parse_matrix("0.5, 0.25], [0.75, 1", 2, previous)
         assert matrix.tolist() == [[9.0, 9.0], [0.75, 1.0]]
         assert {text: row.tolist() for text, row in seen.items()} == {"0.5, 0.25": [9.0, 9.0], "0.75, 1": [0.75, 1.0]}
 
@@ -479,12 +488,12 @@ class TestHistoryReaderReuse:
         assert np.signbit(back.generations[2].x[:2, 0]).all() and not np.signbit(back.generations[1].x[0, 0])
 
     @pytest.mark.parametrize("line, message", [
-        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4, 0.5]], "y": [[1, 2], [2, 1]]}', ROWS),
-        ('{"gen": 1, "x": [[0.1, 0.2], [0.9]], "y": [[1, 2], [2, 1]]}', ROWS),
-        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1], [3]]}', ROWS),
+        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4, 0.5]], "y": [[1, 2], [2, 1]]}', "expected 2 fields, got 3"),
+        ('{"gen": 1, "x": [[0.1, 0.2], [0.9]], "y": [[1, 2], [2, 1]]}', "expected 2 fields, got 1"),
+        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1], [3]]}', "expected 2 fields, got 1"),
         ('{"gen": 1, "x": [[0.1, 0.2], [0.9, true]], "y": [[1, 2], [2, 1]]}', "could not convert string to float: 'true'"),
-        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1e1_0]]}', "'_'"),
-        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4\r]], "y": [[1, 2], [2, 1]]}', "other whitespace"),
+        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1e1_0]]}', UNPLAIN),
+        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4\r]], "y": [[1, 2], [2, 1]]}', UNPLAIN),
     ], ids=["wider-new-row", "narrower-new-row", "extra-narrow-y-row", "true-in-new-row", "underscore-in-new-row",
             "cr-in-new-row"])
     def test_bad_new_row_beside_reused_rows(self, tmp_path, line, message):
@@ -571,18 +580,18 @@ class TestHistoryLayout:
     @pytest.mark.parametrize("line, message", [
         ('{"gen":0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
         ('{"gen": 0,"x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
-        ('{"gen": 0, "x": [[0.1,0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', ROWS),
-        ('{"gen": 0, "x": [[0.1, 0.2],[0.9, 0.4]], "y": [[1, 2], [2, 1]]}', "could not convert string to float"),
+        ('{"gen": 0, "x": [[0.1,0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', "expected 2 fields, got 1"),
+        ('{"gen": 0, "x": [[0.1, 0.2],[0.9, 0.4]], "y": [[1, 2], [2, 1]]}', "expected 2 fields, got 3"),
         ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]] }', LAYOUT),
         ('{"y": [[1, 2], [2, 1]], "gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]]}', LAYOUT),
         ('{"gen": 00, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9,  0.4]], "y": [[1, 2], [2, 1]]}', ROWS),
-        ('{"gen": 0, "x": [[0.1, 0.2], [ 0.9, 0.4]], "y": [[1, 2], [2, 1]]}', ROWS),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1\t]]}', "a tab"),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, \u0661]]}', "non-ASCII"),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1e1_0]]}', "'_'"),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2]]}', ROWS),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[]]}', "could not convert string to float: ''"),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9,  0.4]], "y": [[1, 2], [2, 1]]}', UNPLAIN),
+        ('{"gen": 0, "x": [[0.1, 0.2], [ 0.9, 0.4]], "y": [[1, 2], [2, 1]]}', UNPLAIN),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1\t]]}', UNPLAIN),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, \u0661]]}', UNPLAIN),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1e1_0]]}', UNPLAIN),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2]]}', "expected 2 fields, got 1"),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[]]}', "expected 2 fields, got 1"),
     ], ids=["gen-colon", "gen-comma", "value-comma", "row-comma", "closing-space", "key-order", "gen-leading-zero",
             "double-space", "leading-space", "tab", "non-ascii-digit", "underscore", "ragged", "empty"])
     def test_other_layouts_refused(self, tmp_path, line, message):
@@ -593,7 +602,7 @@ class TestHistoryLayout:
             read_history(path)
 
     def test_json_spellings_of_the_written_values_read_back(self, tmp_path):
-        """Values are read by numpy's float parser, so other spellings of a real, NaN and Infinity included, parse."""
+        """Values are read by Python's float, so other spellings of a real, NaN and Infinity included, parse."""
         path = tmp_path / "h.jsonl"
         write_history(tiny_history(), path)
         rewrite_line(path, 2, '{"gen": 0, "x": [[1e-1, 0.20], [+0.9, 4E-1]], "y": [[1.0, 2], [2, 1]]}')
@@ -770,22 +779,24 @@ coordinates = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, 1
 
 @st.composite
 def embeddings_with_scores(draw):
-    """A shuffled embedding of whole generations and one score per point, some gathered from a profile's array."""
+    """An embedding of whole generations, as Embedding holds them, and one score in [0, 1] per point.
+
+    Some score arrays are gathered from a profile's array, as the CLI gathers them.
+    """
     n_gen, pop = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     n = n_gen * pop
-    order = np.array(draw(st.permutations(range(n))))
     embedding = Embedding(
         draw(st.sampled_from(["search", "objective"])),
         draw(st.lists(coordinates, min_size=n, max_size=n)),
         draw(st.lists(coordinates, min_size=n, max_size=n)),
-        np.repeat(np.arange(n_gen), pop)[order],
-        np.tile(np.arange(pop), n_gen)[order],
+        np.repeat(np.arange(n_gen), pop),
+        np.tile(np.arange(pop), n_gen),
         stride=draw(st.integers(1, 5)),
     )
+    scores = np.array(draw(st.lists(unit_scores, min_size=n, max_size=n)))
     if draw(st.booleans()):
-        score = np.array(draw(st.lists(unit_scores, min_size=n, max_size=n))).reshape(n_gen, pop)
-        return embedding, score[embedding.generation, embedding.member_index]
-    return embedding, np.array(draw(st.lists(ramp_scores, min_size=n, max_size=n)))
+        return embedding, scores.reshape(n_gen, pop)[embedding.generation, embedding.member_index]
+    return embedding, scores
 
 
 class TestArrayAtOnceOracles:
@@ -1186,3 +1197,95 @@ class TestTableOracles:
         path.write_text("gen,hv\n0,0.5\n5,0.6\n2,0.7\n")
         with pytest.raises(MalformedRecordError, match=": line 3: gen 5, expected 1"):
             read_hv_trace(path)
+
+
+# The writer/reader contract: whatever value a type accepts, its writer writes a file its reader
+# reads back bit-exactly; what a reader would refuse, the type refuses at construction or the writer at write.
+
+@st.composite
+def accepted_histories(draw):
+    """A small RunHistory with any header values RunHistory accepts and budget = population × generations."""
+    history = draw(histories())
+    operators = OperatorConfig(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)),
+                               draw(st.floats(5e-324, 1e308)), draw(st.floats(5e-324, 1e308)))
+    return dataclasses.replace(history, problem=draw(st.sampled_from(PROBLEM_NAMES)),
+                               algorithm=draw(st.sampled_from(ALGORITHMS)),
+                               seed=draw(st.integers(0, 2**64 - 1)), operators=operators)
+
+
+@st.composite
+def accepted_embeddings(draw):
+    """Any Embedding (rising, non-negative (gen, idx) pairs, finite coordinates) and scores in [0, 1]."""
+    pairs = sorted(set(draw(st.lists(st.tuples(NON_NEGATIVE_INT64, NON_NEGATIVE_INT64), min_size=1, max_size=12))))
+    n = len(pairs)
+    reals = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(FLOAT_EDGES))
+    embedding = Embedding(draw(st.sampled_from(["search", "objective"])),
+                          draw(st.lists(reals, min_size=n, max_size=n)), draw(st.lists(reals, min_size=n, max_size=n)),
+                          [g for g, _ in pairs], [i for _, i in pairs], stride=draw(NON_NEGATIVE_INT64.filter(bool)))
+    scores = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 1.0])),
+                           min_size=n, max_size=n))
+    return embedding, np.array(scores)
+
+
+class TestAcceptedValuesRoundTrip:
+    @given(accepted_histories())
+    @settings(max_examples=100, deadline=None)
+    def test_history(self, table_dir, history):
+        path = table_dir / "history.jsonl"
+        write_history(history, path)
+        back = read_history(path)
+        header = [f.name for f in dataclasses.fields(RunHistory) if f.name != "generations"]
+        assert [getattr(back, name) for name in header] == [getattr(history, name) for name in header]
+        assert [bits(r.x) + bits(r.y) for r in back.generations] == [bits(r.x) + bits(r.y) for r in history.generations]
+
+    @given(accepted_embeddings())
+    @settings(max_examples=150, deadline=None)
+    def test_embedding(self, table_dir, case):
+        embedding, scores = case
+        path = table_dir / "embedding.csv"
+        write_embedding(embedding, scores, path)
+        back, back_scores = read_embedding(path)
+        assert (back.space, back.stride) == (embedding.space, embedding.stride)
+        for column in ("e1", "e2", "generation", "member_index"):
+            assert bits(getattr(back, column)) == bits(getattr(embedding, column)), column
+        assert bits(back_scores) == bits(scores)
+
+    @given(st.lists(hv_values, min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_hv_trace(self, table_dir, values):
+        trace = HypervolumeTrace(None, np.array(values))
+        write_hv_trace(trace, table_dir / "hv.csv")
+        assert bits(read_hv_trace(table_dir / "hv.csv").values) == bits(trace.values)
+
+
+def one_generation_run(**header):
+    """RunHistory of one 4-member generation, with ``header`` overriding a budget of one population."""
+    record = GenerationRecord(0, np.full((4, 2), 0.5), np.ones((4, 2)))
+    fields = dict(problem="dtlz2", M=2, D=2, algorithm="nsga2", population_size=4, evaluation_budget=4, seed=0)
+    return RunHistory(**{**fields, **header}, generations=(record,))
+
+
+def points(generation, member_index):
+    n = len(generation)
+    return Embedding("search", np.zeros(n), np.zeros(n), generation, member_index, stride=1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: points([0, 0], [1, 1]), "entry 1: gen 0, idx 1 does not come after the pair before it"),
+    (lambda path: points([-1, 0], [0, 0]), "entry 0: gen -1, idx 0 must be non-negative"),
+    (lambda path: write_embedding(points([0], [0]), [1.5], path), r"entry 0: score 1.5 outside \[0, 1\]"),
+    (lambda path: one_generation_run(algorithm="bogus"), "field 'algorithm' is 'bogus'"),
+    (lambda path: one_generation_run(evaluation_budget=2), "field 'evaluation_budget' is 2, below one population of 4"),
+    (lambda path: one_generation_run(evaluation_budget=40), "1 generation records, but evaluation_budget 40 and "
+                                                            "population_size 4 make 10"),
+    (lambda path: one_generation_run(seed=-1), "field 'seed' is -1"),
+    (lambda path: one_generation_run(seed=2**64), "field 'seed' is 18446744073709551616"),
+    (lambda path: one_generation_run(problem="bogus"), "field 'problem' is 'bogus'"),
+    (lambda path: one_generation_run(problem="DTLZ2"), "field 'problem' is 'DTLZ2'"),
+], ids=["repeated-pair", "negative-gen", "score-above-1", "unknown-algorithm", "budget-below-population",
+        "too-few-generations", "negative-seed", "seed-beyond-64-bits", "unknown-problem", "upper-case-problem"])
+def test_value_its_reader_refuses_is_refused_before_any_file(tmp_path, make, message):
+    """Each value here once wrote a file that its own reader then refused."""
+    with pytest.raises(ContractError, match=message):
+        make(tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []

@@ -425,7 +425,7 @@ class TestExplorationProfile:
     def test_profile_validation(self):
         with pytest.raises(ContractError):
             ExplorationProfile("search", np.array([1.0]), np.array([[1.5]]))
-        with pytest.raises(ContractError, match=r"scores must lie in \[0, 1\]"):
+        with pytest.raises(ContractError, match=r"entry 0: score nan outside \[0, 1\]"):
             ExplorationProfile("search", [0.1, 0.2], [[np.nan, 0.5], [0.2, 0.3]])
         with pytest.raises(ContractError, match="profile arrays"):
             ExplorationProfile("search", [0.1, 0.2], [[0.5]])
