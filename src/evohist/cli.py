@@ -57,7 +57,7 @@ _OPTIONS = {
 
 
 def _load_config(path) -> dict[str, str]:
-    """Parse a key = value config file split at LF, its last LF optional; unknown or repeated keys fail closed."""
+    """Parse key = value lines split at LF, the last optional, ``#`` opening a comment; bad or repeated keys fail."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             lines = fh.read().split("\n")
@@ -65,8 +65,8 @@ def _load_config(path) -> dict[str, str]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()

@@ -221,16 +221,6 @@ class OperatorConfig:
             raise ContractError("distribution indices must be finite and positive")
 
 
-def _check_run_sizes(M: int, D: int, population_size: int) -> None:
-    """A run needs at least two objectives, one decision variable and two members."""
-    if M < 2:
-        raise ContractError("a run needs at least two objectives")
-    if D < 1:
-        raise ContractError("a run needs at least one decision variable")
-    if population_size < 2:
-        raise ContractError("population size must be at least 2")
-
-
 def _check_choice(field: str, value, choices: tuple[str, ...], error: type[ValueError] = ContractError) -> None:
     """``value`` is one of ``choices``; the message names ``field``."""
     if value not in choices:
@@ -246,6 +236,22 @@ def _check_run(algorithm: str, population_size: int, evaluation_budget: int, see
     if evaluation_budget < population_size:
         raise error(f"field 'evaluation_budget' is {evaluation_budget}, below one population of {population_size}")
     return -(-evaluation_budget // population_size)
+
+
+def _check_recorded_run(problem: str, M: int, D: int, algorithm: str, population_size: int, evaluation_budget: int,
+                        seed: int) -> int:
+    """``run`` can record these settings: a problem it has, two objectives, one variable, two members, ``_check_run``.
+
+    Returns the generations such a run records.
+    """
+    _check_choice("problem", problem, PROBLEM_NAMES)
+    if M < 2:
+        raise ContractError("a run needs at least two objectives")
+    if D < 1:
+        raise ContractError("a run needs at least one decision variable")
+    if population_size < 2:
+        raise ContractError("population size must be at least 2")
+    return _check_run(algorithm, population_size, evaluation_budget, seed)
 
 
 def _check_generation(record: GenerationRecord, t: int, M: int, D: int, population_size: int) -> None:
@@ -281,9 +287,8 @@ class RunHistory:
     generations: tuple[GenerationRecord, ...] = ()
 
     def __post_init__(self):
-        _check_run_sizes(self.M, self.D, self.population_size)
-        _check_choice("problem", self.problem, PROBLEM_NAMES)
-        expected = _check_run(self.algorithm, self.population_size, self.evaluation_budget, self.seed)
+        expected = _check_recorded_run(self.problem, self.M, self.D, self.algorithm, self.population_size,
+                                       self.evaluation_budget, self.seed)
         gens = tuple(self.generations)
         for t, rec in enumerate(gens):
             _check_generation(rec, t, self.M, self.D, self.population_size)

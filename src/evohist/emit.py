@@ -19,7 +19,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -29,8 +28,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (PROBLEM_NAMES, ContractError, GenerationRecord, OperatorConfig, RunHistory, _check_choice,
-                   _check_generation, _check_run, _check_run_sizes, _refuse)
+from .core import (ContractError, GenerationRecord, OperatorConfig, RunHistory, _check_choice, _check_generation,
+                   _check_recorded_run, _refuse)
 from .embedding import Embedding, _check_points, _check_stride, as_space
 from .metrics import HypervolumeTrace, _check_hv_values, _check_scores
 from .optimizer import RNG_ALGORITHM
@@ -136,7 +135,7 @@ def _read_lines(path, first_only: bool = False) -> list[str]:
     it.  A whole file whose last line has no LF was cut short.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             lines = (fh.readline() if first_only else fh.read()).split("\n")
     except UnicodeDecodeError as exc:
         raise MalformedRecordError(f"{path}: not UTF-8 text: {exc}") from None
@@ -163,11 +162,15 @@ _HEADER = {
     "pm_eta": float,
     "rng_algorithm": str,
 }
-# Per type: how it is printed (reals to 17 significant digits, which read
-# back bit-exactly), and which json.loads types it accepts (by type(), so
-# not bool, which subclasses int) under what name.
-_JSON_TYPES = {int: (str, (int,), "an integer"), float: ("%.17g".__mod__, (int, float), "a number"),
-               str: (json.dumps, (str,), "a string")}
+# Per type: how write_history prints a value (reals to 17 significant digits, which read back bit-exactly),
+# the spelling _read_header requires, and its name in an error: an integer in plain digits, a real as any
+# JSON number, a string as a quoted name with no escape, so each reads back as the value it spells.
+_INTEGER = "0|-?[1-9][0-9]*"
+_JSON_TYPES = {int: (str, _INTEGER, "an integer"),
+               float: ("%.17g".__mod__, r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?", "a number"),
+               str: ('"%s"'.__mod__, '"[-0-9A-Za-z_]*"', "a quoted name")}
+# The start of a header of any format version: read first, so a file of another version is named as such.
+_VERSION = re.compile(r'\{"format_version": (%s)[,}]' % _INTEGER)
 
 
 def write_history(history: RunHistory, path) -> None:
@@ -198,44 +201,42 @@ def _read_header(path, lines: list[str] | None = None) -> tuple[dict, int]:
 
     Returns them with the number of generations such a run records.
     ``lines`` are the file's lines; without them only the first is read.
-    Raises FormatVersionError or MalformedRecordError naming line 1 on a bad
-    header, a field RunHistory refuses included, and ContractError naming
-    line 1 on sizes or operators a run cannot have.
+    The line is cut at the ``", "`` and ``": "`` write_history joins it
+    with; each field must carry _HEADER's next key and a value spelled as
+    its type's, and the values must pass the rules RunHistory applies,
+    with ``rng_algorithm`` this package's.  Raises FormatVersionError on
+    another format version, and MalformedRecordError naming line 1 and
+    the first field that breaks a rule.
     """
     lines = _read_lines(path, first_only=True) if lines is None else lines
     if not lines:
         raise MalformedRecordError(f"{path}: line 1: empty file, expected a header record")
-    if "\r" in lines[0]:  # JSON reads CR as whitespace, so only this line needs the check
-        raise MalformedRecordError(f"{path}: line 1: holds a carriage return; lines must end in LF alone")
+    text = lines[0]
+    version = _VERSION.match(text)
+    if version and version[1] != str(FORMAT_VERSION):
+        raise FormatVersionError(f"{path}: line 1: format_version {version[1]}, this reader supports {FORMAT_VERSION}")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"{path}: line 1: {exc.msg}") from None
-    if not isinstance(header, dict):
-        raise MalformedRecordError(f"{path}: line 1: expected a JSON object")
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise FormatVersionError(f"{path}: line 1: format_version {version!r}, this reader supports {FORMAT_VERSION}")
-    missing = [k for k in _HEADER if k not in header]
-    if missing:
-        raise MalformedRecordError(f"{path}: line 1: header missing fields {', '.join(missing)}")
-    for key, kind in _HEADER.items():
-        _, accepted, name = _JSON_TYPES[kind]
-        if type(header[key]) not in accepted:
-            raise MalformedRecordError(f"{path}: line 1: header field {key!r} is not {name}: {header[key]!r}")
-    run_fields = {key: kind(header[key]) for key, kind in _HEADER.items()}
-    try:
-        run_fields["operators"] = OperatorConfig(**{f.name: run_fields.pop(f.name) for f in fields(OperatorConfig)})
-        _check_run_sizes(run_fields["M"], run_fields["D"], run_fields["population_size"])
-    except ContractError as exc:
-        raise ContractError(f"{path}: line 1: {exc}") from None
-    try:
-        _check_choice("problem", run_fields["problem"], PROBLEM_NAMES)
-        n_generations = _check_run(run_fields["algorithm"], run_fields["population_size"],
-                                   run_fields["evaluation_budget"], run_fields["seed"])
-    except ContractError as exc:
+        if not (text.startswith("{") and text.endswith("}")):
+            raise ValueError("is not one {...} record as write_history writes it")
+        items, run_fields = text[1:-1].split(", "), {}
+        for i, ((key, kind), item) in enumerate(zip(_HEADER.items(), items), start=1):
+            name, _, value = item.partition(": ")
+            _, spelling, noun = _JSON_TYPES[kind]
+            if name != f'"{key}"':
+                raise ValueError(f"field {i} is {item!r}, expected field {key!r}")
+            if not re.fullmatch(spelling, value):
+                raise ValueError(f"field {key!r} is not {noun}: {value}")
+            run_fields[key] = value[1:-1] if kind is str else kind(value)
+        if len(items) != len(_HEADER):
+            raise ValueError(f"has {len(items)} fields, expected {len(_HEADER)}")
+        del run_fields["format_version"]
+        rng_algorithm = run_fields.pop("rng_algorithm")
+        operators = {f.name: run_fields.pop(f.name) for f in fields(OperatorConfig)}
+        n_generations = _check_recorded_run(**run_fields)
+        run_fields["operators"] = OperatorConfig(**operators)
+        _check_choice("rng_algorithm", rng_algorithm, (RNG_ALGORITHM,))
+    except ValueError as exc:  # ContractError included
         raise MalformedRecordError(f"{path}: line 1: header {exc}") from None
-    del run_fields["format_version"], run_fields["rng_algorithm"]
     return run_fields, n_generations
 
 
@@ -288,10 +289,10 @@ def read_history(path) -> RunHistory:
 
     Each generation line must be laid out as write_history writes it, and
     a run's ceil(evaluation_budget / population_size) of them must follow.
-    Raises FormatVersionError on a version mismatch, MalformedRecordError
-    on bytes that are not UTF-8 and (naming the line) on a bad header, a
-    line laid out any other way or a wrong count, and ContractError naming
-    the line on a generation that breaks a record invariant or the header.
+    Raises FormatVersionError on a version mismatch, and
+    MalformedRecordError on bytes that are not UTF-8 and, naming the
+    line, on a bad header, a line laid out any other way, a generation
+    that breaks a record rule or the header, or a wrong count.
     """
     lines = _read_lines(path)
     run_fields, expected = _read_header(path, lines)
@@ -308,9 +309,7 @@ def read_history(path) -> RunHistory:
             generations.append(GenerationRecord(int(line[1]), x, y))
             _check_generation(generations[-1], lineno - 2, run_fields["M"], run_fields["D"],
                               run_fields["population_size"])
-        except ContractError as exc:
-            raise ContractError(f"{path}: line {lineno}: {exc}") from None
-        except ValueError as exc:
+        except ValueError as exc:  # ContractError included
             raise MalformedRecordError(f"{path}: line {lineno}: {exc}") from None
     try:
         return RunHistory(**run_fields, generations=tuple(generations))

@@ -61,12 +61,6 @@ class RunConfig:
         _check_run(self.algorithm, self.population_size, self.evaluation_budget, self.seed, ConfigError)
 
 
-def _check_partitions(p) -> None:
-    """``p`` is a partition count: a positive int, and not a bool."""
-    if type(p) is bool or not isinstance(p, int) or p < 1:
-        raise ContractError(f"partition count must be a positive integer, got {p!r}")
-
-
 @dataclass(frozen=True)
 class ReferenceDirectionSet:
     """Unit-simplex directions used by NSGA-III niching."""
@@ -228,9 +222,10 @@ def das_dennis(M: int, p: int) -> ReferenceDirectionSet:
 
     Enumerates, in ascending lexicographic order, every vector of M
     non-negative multiples of 1/p summing to 1; there are C(M+p-1, p) of
-    them.
+    them.  ``p`` is a positive int, and not a bool.
     """
-    _check_partitions(p)
+    if type(p) is bool or not isinstance(p, int) or p < 1:
+        raise ContractError(f"partition count must be a positive integer, got {p!r}")
     if M < 2:
         raise ContractError(f"das_dennis needs M >= 2, got M={M}")
     count = comb(M + p - 1, p)

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evohist import cli, read_embedding, read_hv_trace, write_embedding, write_hv_trace
+from evohist import (MalformedRecordError, cli, read_embedding, read_history, read_hv_trace, write_embedding,
+                     write_hv_trace)
 from evohist.cli import main
 from evohist.core import ContractError, OperatorConfig
 
@@ -558,6 +559,21 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 0
         assert header_of(out)["seed"] == 9
 
+    @pytest.mark.parametrize("body", ["problem = dtlz2  # note\nseed = 42\n",
+                                      "problem = dtlz2\nseed = 42  # the seed\n"], ids=["word", "integer"])
+    def test_comment_after_a_value(self, tmp_path, body):
+        """``#`` starts a comment anywhere in a line, so what follows it is no part of the value."""
+        cfg = self.write_config(tmp_path, body + "population_size = 8\nevaluation_budget = 40\n")
+        out = tmp_path / "h.jsonl"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        header = header_of(out)
+        assert header["problem"] == "dtlz2" and header["seed"] == 42
+
+    def test_comment_in_place_of_a_value_fails_closed(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "problem = dtlz2\nseed =  # the seed\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "h.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: expected 'key = value'\n"
+
     def test_unknown_key_fails_closed(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, "problem = dtlz2\nbudget = 40\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "h.jsonl")]) == 2
@@ -1006,13 +1022,13 @@ class TestTracedStages:
 
 
 def test_cli_import_leaves_scipy_out():
-    """scipy is a test-only dependency; importing it would cost every CLI start."""
+    """scipy is a test-only dependency, and no reader parses JSON; importing either would cost every CLI start."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, "-c", "import evohist.cli, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import evohist.cli, sys; print('scipy' in sys.modules, 'json' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
 
 
 def test_main_in_process_freezes_nothing(tmp_path, capsys):
@@ -1107,30 +1123,59 @@ def test_bad_generation_is_one_error_line(artifacts, tmp_path, capsys, command, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("M", 0, "a run needs at least two objectives"),
-    ("D", 0, "a run needs at least one decision variable"),
-    ("population_size", 1, "population size must be at least 2"),
-    ("mutation_probability", 1e400, "mutation probability inf outside [0, 1]"),
-    ("sbx_eta", 0, "distribution indices must be finite and positive"),
-    ("evaluation_budget", -5, "header field 'evaluation_budget' is -5, below one population of 8"),
-    ("evaluation_budget", 7, "header field 'evaluation_budget' is 7, below one population of 8"),
-    ("algorithm", "bogus", "header field 'algorithm' is 'bogus', expected one of nsga2, nsga3"),
-    ("seed", -1, "header field 'seed' is -1, expected an unsigned 64-bit integer"),
-    ("seed", 2**64, "header field 'seed' is 18446744073709551616, expected an unsigned 64-bit integer"),
-    ("problem", "bogus", "header field 'problem' is 'bogus', expected one of dtlz1, dtlz2, dtlz3, dtlz4, dtlz7"),
-    ("problem", "DTLZ2", "header field 'problem' is 'DTLZ2', expected one of dtlz1, dtlz2, dtlz3, dtlz4, dtlz7"),
-])
-@pytest.mark.parametrize("command", ["embed", "hv"])
-def test_impossible_header_value_names_line_1(artifacts, tmp_path, capsys, command, field, value, message):
-    """A header value no run can have stops embed and hv with exit 1, naming the file and line 1."""
+def header_refused(artifacts, tmp_path, capsys, command, header, message):
+    """The shared history with ``header`` as its line 1 stops ``command`` with exit 1 and one error naming line 1."""
     _, history, _, _ = artifacts
-    lines = history.read_text().splitlines()
-    header = json.loads(lines[0])
-    header[field] = value
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    bad.write_text("\n".join([header, *history.read_text().splitlines()[1:]]) + "\n")
     out = tmp_path / "out.csv"
     assert main([command, "--history", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {bad}: line 1: {message}"]
     assert not out.exists()
+    with pytest.raises(MalformedRecordError, match=re.escape(f"line 1: {message}")):
+        read_history(bad)
+
+
+@pytest.mark.parametrize("field, text, message", [
+    ("M", "0", "header a run needs at least two objectives"),
+    ("D", "0", "header a run needs at least one decision variable"),
+    ("population_size", "1", "header population size must be at least 2"),
+    ("mutation_probability", "1e400", "header mutation probability inf outside [0, 1]"),
+    ("sbx_eta", "0", "header distribution indices must be finite and positive"),
+    ("evaluation_budget", "-5", "header field 'evaluation_budget' is -5, below one population of 8"),
+    ("evaluation_budget", "7", "header field 'evaluation_budget' is 7, below one population of 8"),
+    ("algorithm", '"bogus"', "header field 'algorithm' is 'bogus', expected one of nsga2, nsga3"),
+    ("seed", "-1", "header field 'seed' is -1, expected an unsigned 64-bit integer"),
+    ("seed", "18446744073709551616", "header field 'seed' is 18446744073709551616, expected an unsigned 64-bit integer"),
+    ("problem", '"bogus"', "header field 'problem' is 'bogus', expected one of dtlz1, dtlz2, dtlz3, dtlz4, dtlz7"),
+    ("problem", '"DTLZ2"', "header field 'problem' is 'DTLZ2', expected one of dtlz1, dtlz2, dtlz3, dtlz4, dtlz7"),
+])
+@pytest.mark.parametrize("command", ["embed", "hv"])
+def test_impossible_header_value_names_line_1(artifacts, tmp_path, capsys, command, field, text, message):
+    """A header value no run can have stops embed and hv with exit 1, naming the file and line 1."""
+    header = re.sub(f'"{field}": [^,}}]*', lambda m: f'"{field}": {text}', artifacts[1].read_text().splitlines()[0])
+    header_refused(artifacts, tmp_path, capsys, command, header, message)
+
+
+# Header edits a JSON parser would accept but write_history never writes.
+HEADER_EDITS = {
+    "compact-separators": (lambda h: h.replace(", ", ",").replace(": ", ":"), "header field 1 is '{}', expected "
+                           "field 'format_version'"),
+    "leading-space": (lambda h: " " + h, "header is not one {...} record as write_history writes it"),
+    "extra-key": (lambda h: h[:-1] + ', "note": 1}', "header has 14 fields, expected 13"),
+    "repeated-key": (lambda h: h.replace('"M": 3, ', '"M": 3, "M": 3, '),
+                     "header field 4 is '\"M\": 3', expected field 'D'"),
+    "reversed-order": (lambda h: "{" + ", ".join(reversed(h[1:-1].split(", "))) + "}",
+                       "header field 1 is '\"rng_algorithm\": \"numpy-pcg64\"', expected field 'format_version'"),
+    "other-rng-algorithm": (lambda h: h.replace('"numpy-pcg64"', '"mt19937"'),
+                            "header field 'rng_algorithm' is 'mt19937', expected one of numpy-pcg64"),
+}
+
+
+@pytest.mark.parametrize("edit", HEADER_EDITS, ids=list(HEADER_EDITS))
+@pytest.mark.parametrize("command", ["embed", "hv"])
+def test_header_laid_out_otherwise_names_line_1(artifacts, tmp_path, capsys, command, edit):
+    """Line 1 must be laid out as write_history writes it, keys, order and separators included."""
+    change, message = HEADER_EDITS[edit]
+    header = change(artifacts[1].read_text().splitlines()[0])
+    header_refused(artifacts, tmp_path, capsys, command, header, message.replace("{}", header[1:-1]))

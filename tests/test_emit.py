@@ -124,6 +124,14 @@ class TestHistoryFile:
         with pytest.raises(FormatVersionError):
             read_history(path)
 
+    def test_first_line_alone_ends_at_lf_alone(self, tmp_path):
+        """The header read alone, as the CLI checks it before the records, is the whole of line 1, CR and all."""
+        path = tmp_path / "h.jsonl"
+        write_history(tiny_history(), path)
+        path.write_bytes(path.read_bytes().replace(b'"M": 2, ', b'"M": 2,\r ', 1))
+        assert emit._read_lines(path, first_only=True) == emit._read_lines(path)[:1]
+        assert '"M": 2,\r "D": 2' in emit._read_lines(path, first_only=True)[0]
+
     def test_missing_header_field_named(self, tmp_path):
         path = tmp_path / "h.jsonl"
         write_history(tiny_history(), path)
@@ -166,7 +174,7 @@ class TestHistoryFile:
         write_history(tiny_history(), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
-        with pytest.raises(ContractError, match="line 2"):
+        with pytest.raises(MalformedRecordError, match="line 2"):
             read_history(path)
 
     def test_empty_and_headerless_files(self, tmp_path):
@@ -185,7 +193,7 @@ class TestHistoryFile:
         path = tmp_path / "h.jsonl"
         write_history(tiny_history(), path)
         rewrite_line(path, 2, '{"gen": 0, "x": [[0.1, 1.5], [0.9, 0.4]], "y": [[1.0, 2.0], [2.0, 1.0]]}')
-        with pytest.raises(ContractError, match="line 2"):
+        with pytest.raises(MalformedRecordError, match="line 2"):
             read_history(path)
 
 
@@ -530,6 +538,14 @@ TOKEN = re.compile(r"-?[0-9][-+.0-9e]*")
 SEPARATORS = [", ", "], [", '{"gen": ', ', "x": [[', ']], "y": [[', "]]}"]
 
 
+def separator_edited(draw, line, separators, double):
+    """``line`` with one of its ``separators``, at a drawn place, dropped or doubled."""
+    separator = draw(st.sampled_from([sep for sep in separators if sep in line]))
+    starts = [m.start() for m in re.finditer(re.escape(separator), line)]
+    at = draw(st.sampled_from(starts))
+    return line[:at] + (separator * 2 if double else "") + line[at + len(separator):]
+
+
 @st.composite
 def edited_line(draw, line):
     """``line`` with one edit from the catalogue above, at a drawn place."""
@@ -539,10 +555,29 @@ def edited_line(draw, line):
         token = tokens[0] if kind == "gen" else draw(st.sampled_from(tokens))
         text = "-0" if kind == "gen" else draw(st.sampled_from(["true", "false", '"0.5"', "1_0", " 1", "1 "]))
         return line[:token.start()] + text + line[token.end():]
-    separator = draw(st.sampled_from([sep for sep in SEPARATORS if sep in line]))
-    starts = [m.start() for m in re.finditer(re.escape(separator), line)]
-    at = draw(st.sampled_from(starts))
-    return line[:at] + (separator * 2 if kind == "double" else "") + line[at + len(separator):]
+    return separator_edited(draw, line, SEPARATORS, kind == "double")
+
+
+@st.composite
+def edited_header(draw, line):
+    """The header ``line`` with one edit write_history cannot produce: a ', ' or ': ' dropped or doubled, two
+    adjacent fields swapped, a field repeated, an extra field, a leading space, or another rng_algorithm."""
+    kind = draw(st.sampled_from(["drop", "double", "swap", "repeat", "extra", "space", "rng"]))
+    if kind in ("drop", "double"):
+        return separator_edited(draw, line, [", ", ": "], kind == "double")
+    if kind == "space":
+        return " " + line
+    if kind == "rng":
+        return line.replace('"numpy-pcg64"', draw(st.sampled_from(['"mt19937"', '"numpy-pcg"', '"PCG64"', '""'])))
+    items = line[1:-1].split(", ")
+    i = draw(st.integers(1, len(items) - (kind == "swap")))
+    if kind == "swap":
+        items[i - 1], items[i] = items[i], items[i - 1]
+    elif kind == "repeat":
+        items.insert(i, items[i - 1])
+    else:
+        items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from(['"note": 1', '"seed": 5', '"M": 3'])))
+    return "{" + ", ".join(items) + "}"
 
 
 class TestHistoryLayout:
@@ -562,12 +597,16 @@ class TestHistoryLayout:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_one_token_edit_is_refused_or_reads_back_as_written(self, tmp_path_factory, short_run, data):
-        """Either the edited line is named in the error, or writing what was read gives the edited file's bytes."""
+        """Either the edited line is named in the error, or writing what was read gives the edited file's bytes.
+
+        Half the draws edit the header, the rest one generation line.
+        """
         path = tmp_path_factory.mktemp("history") / "history.jsonl"
         write_history(short_run, path)
         lines = path.read_text().splitlines()
-        lineno = data.draw(st.integers(2, len(lines)))
-        lines[lineno - 1] = data.draw(edited_line(lines[lineno - 1]))
+        lineno = data.draw(st.one_of(st.just(1), st.integers(2, len(lines))))
+        edit = edited_header if lineno == 1 else edited_line
+        lines[lineno - 1] = data.draw(edit(lines[lineno - 1]))
         path.write_text("\n".join(lines) + "\n")
         try:
             back = read_history(path)
@@ -608,7 +647,7 @@ class TestHistoryLayout:
         rewrite_line(path, 2, '{"gen": 0, "x": [[1e-1, 0.20], [+0.9, 4E-1]], "y": [[1.0, 2], [2, 1]]}')
         assert np.array_equal(read_history(path).generations[0].x, [[0.1, 0.2], [0.9, 0.4]])
         rewrite_line(path, 2, '{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, Infinity]]}')
-        with pytest.raises(ContractError, match="line 2: objective 1 = inf in row 1 is not finite"):
+        with pytest.raises(MalformedRecordError, match="line 2: objective 1 = inf in row 1 is not finite"):
             read_history(path)
 
 
