@@ -5,8 +5,9 @@ flag stores under its key; a ``--config`` file (``key = value`` lines,
 ``#`` comments, unknown or repeated keys rejected) sets keys by name, and a command
 reads only the keys it has a flag for.  Flags beat config values, which
 beat the defaults of the module that owns the option.  Exit codes: 0
-success, 1 I/O or data errors, 2 usage or configuration errors.  Options
-are checked before any work is done and before a history's records are read.
+success, 1 I/O or data errors or running out of memory, 2 usage or
+configuration errors.  Options are checked before any work is done and
+before a history's records are read.
 
 Every command computes all its outputs before it writes any, so a failure
 while computing leaves no output behind; each file is then written through
@@ -350,6 +351,9 @@ def main(argv=None) -> int:
         return 2
     except (HistoryFormatError, ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
         return 1
 
 

@@ -5,7 +5,12 @@ digits so every float64 round-trips bit-exactly):
 
 * History: JSON lines.  Line 1 is a header record carrying the full run
   configuration plus ``format_version`` and the RNG algorithm tag; each
-  later line is one generation laid out as ``{"gen": t, "x": [[...]], "y": [[...]]}``.
+  later line is one generation laid out as
+  ``{"gen": t, "from": [i, ...], "x": [[...]], "y": [[...]]}``.  Entry k
+  of ``from`` is the lowest index of a row of the generation before whose
+  x and y bytes are member k's, or -1 if there is none; ``x`` and ``y``
+  spell out only the -1 members' rows, in member order.  So a generation
+  line is read against the line before it.
 * Embedding: CSV with header ``gen,idx,e1,e2,score,space,stride``.
 * Hypervolume trace: CSV with header ``gen,hv``.
 
@@ -25,6 +30,7 @@ import re
 from contextlib import contextmanager, suppress
 from dataclasses import fields
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -52,7 +58,7 @@ __all__ = [
     "render_hv_figure",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 AZIMUTH_DEG = 45.0
 ELEVATION_DEG = 25.0
@@ -88,22 +94,26 @@ class MalformedRecordError(HistoryFormatError):
     """A specific line failed to parse; the message names the line."""
 
 
-def _row_texts(rows: np.ndarray, previous: dict[bytes, str]) -> tuple[list[str], dict[bytes, str]]:
-    """Text of every row as a JSON list of ``%.17g`` reals, reusing ``previous`` for rows seen there.
+def _row_keys(x: np.ndarray, y: np.ndarray) -> list[bytes]:
+    """Each member's x and y float64 bytes, joined: equal keys are equal bits, so ``-0.0`` and ``0.0`` differ."""
+    rows = np.hstack([x, y], dtype=float)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0].tolist()
 
-    Rows are keyed by their raw float64 bytes, so a hit is the same bits
-    and prints the same text; ``-0.0`` and ``0.0`` stay distinct keys.
-    Only the rows ``previous`` lacks go through ``_rows``, in one call.
-    Returns the texts and the key → text map to pass in for the next one.
-    """
-    rows = np.ascontiguousarray(rows, dtype=float)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0].tolist()
-    texts = list(map(previous.get, keys))
-    new = [i for i, text in enumerate(texts) if text is None]
-    template = "[" + ", ".join(["%.17g"] * rows.shape[1]) + "]\n"
-    for i, text in zip(new, _rows(template, *rows[new].T).splitlines()):
-        texts[i] = text
-    return texts, dict(zip(keys, texts))
+
+def _lowest_index(keys: list[bytes]) -> dict[bytes, int]:
+    """Each distinct key and the lowest index that holds it."""
+    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+
+
+def _sources(keys: list[bytes], previous: dict[bytes, int]) -> list[int]:
+    """The ``from`` of a generation with these row keys: each key's index in ``previous``, or -1."""
+    return list(map(previous.get, keys, repeat(-1)))
+
+
+def _matrix_text(rows: np.ndarray) -> str:
+    """``rows`` as a JSON list of rows of ``%.17g`` reals, formatted by one ``_rows`` call."""
+    template = "[" + ", ".join(["%.17g"] * rows.shape[1]) + "], "
+    return "[" + _rows(template, *rows.T)[:-2] + "]"
 
 
 @contextmanager
@@ -176,24 +186,25 @@ _VERSION = re.compile(r'\{"format_version": (%s)[,}]' % _INTEGER)
 def write_history(history: RunHistory, path) -> None:
     """Serialise a run to JSON-lines; see the module docstring for the schema.
 
-    Survivors carry over between generations, so most rows repeat a row
-    of the generation before.  Each generation's x and y rows are looked
-    up by their raw bytes in the previous generation's texts, and only
-    the rest are formatted.  Equal bytes are equal floats, and ``%.17g``
-    of a float is a fixed string, so the file is the same as formatting
-    every value afresh.  Only one generation's texts are kept at a time.
+    Survivors carry over between generations, so most members repeat a
+    row of the generation before.  Each member's x and y bytes are looked
+    up among that generation's rows; a member found there is written as
+    the lowest index holding its bytes, and only the rest are formatted.
+    Only one generation's keys are kept at a time.
     """
     values = {**vars(history), **vars(history.operators),
               "format_version": FORMAT_VERSION, "rng_algorithm": RNG_ALGORITHM}
     header = ", ".join(f'"{key}": {_JSON_TYPES[kind][0](values[key])}' for key, kind in _HEADER.items())
     with open_atomic(path) as fh:
         fh.write("{" + header + "}\n")
-        seen_x: dict[bytes, str] = {}
-        seen_y: dict[bytes, str] = {}
+        previous: dict[bytes, int] = {}
         for rec in history.generations:
-            x_texts, seen_x = _row_texts(rec.x, seen_x)
-            y_texts, seen_y = _row_texts(rec.y, seen_y)
-            fh.write(f'{{"gen": {rec.generation}, "x": [{", ".join(x_texts)}], "y": [{", ".join(y_texts)}]}}\n')
+            keys = _row_keys(rec.x, rec.y)
+            source = _sources(keys, previous)
+            new = [k for k, i in enumerate(source) if i < 0]
+            fh.write(f'{{"gen": {rec.generation}, "from": {source}, '
+                     f'"x": {_matrix_text(rec.x[new])}, "y": {_matrix_text(rec.y[new])}}}\n')
+            previous = _lowest_index(keys)
 
 
 def _read_header(path, lines: list[str] | None = None) -> tuple[dict, int]:
@@ -240,9 +251,12 @@ def _read_header(path, lines: list[str] | None = None) -> tuple[dict, int]:
     return run_fields, n_generations
 
 
-# A generation line cut at the separators write_history joins it with:
-# ``gen`` as ``%d`` prints an index, then each matrix between ``[[`` and ``]]``.
-_GENERATION_LINE = re.compile(r'\{"gen": (0|[1-9][0-9]*), "x": \[\[([^"]*)\]\], "y": \[\[([^"]*)\]\]\}')
+# A generation line cut at the separators write_history joins it with: ``gen`` as ``%d`` prints an index, then
+# ``from``'s indices as ``%d`` prints them (at most 18 digits, so each fits int64), then each matrix between
+# ``[[`` and ``]]``, or ``[]`` when it has no rows.
+_INDEX = "0|-?[1-9][0-9]{0,17}"
+_GENERATION_LINE = re.compile(r'\{"gen": (0|[1-9][0-9]*), "from": \[((?:%s)(?:, (?:%s))*)\], '
+                              r'"x": \[(?:\[([^"]*)\])?\], "y": \[(?:\[([^"]*)\])?\]\}' % (_INDEX, _INDEX))
 
 
 def _fields(rows: list[str], separator: str, width: int) -> list[str]:
@@ -265,23 +279,49 @@ def _numbers(texts: list[str], kind) -> np.ndarray:
     return np.fromiter(map(kind, texts), np.int64 if kind is int else float, len(texts))
 
 
-def _parse_matrix(text: str, width: int, previous: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """A ``width``-column matrix as write_history prints it between ``[[`` and ``]]``: rows joined by ``], [``.
+def _new_rows(name: str, text: str | None, width: int, count: int) -> np.ndarray:
+    """The ``count`` rows of a ``width``-column matrix write_history prints between ``[[`` and ``]]`` (None: ``[]``).
 
-    ``previous`` maps each row text of the matrix one generation before to
-    its parsed row.  A row found there was checked and parsed then, and
-    equal text parses to equal bits, so it is reused; only the rest go
-    through ``_fields`` and ``_numbers``, whose ValueError passes through.
-    Returns the matrix and its own text → row map.
+    ``_fields`` and ``_numbers`` read them; their ValueError passes through.
     """
-    rows = text.split("], [")
-    parsed = list(map(previous.get, rows))
-    new = [i for i, row in enumerate(parsed) if row is None]
-    values = _numbers(_fields([rows[i] for i in new], ", ", width), float)
-    for i, row in zip(new, values.reshape(-1, width)):
-        parsed[i] = row
-    matrix = np.array(parsed)
-    return matrix, dict(zip(rows, matrix))
+    rows = _numbers(_fields([] if text is None else text.split("], ["), ", ", width), float).reshape(-1, width)
+    if len(rows) != count:
+        raise ValueError(f"the count of -1 entries in from is {count}, "
+                         f"but the count of new rows in {name} is {len(rows)}")
+    return rows
+
+
+def _generation(line: re.Match, x: np.ndarray, y: np.ndarray, previous: dict[bytes, int]):
+    """The x and y of the generation on ``line``, and the ``_lowest_index`` of its row keys.
+
+    ``x``, ``y`` and ``previous`` are the generation before's (no rows
+    before the first).  ``from`` gathers each kept member from them, and
+    each -1 member from the line's new rows in turn.  ValueError on an
+    index outside [-1, rows before), a -1 count other than the new rows
+    in x or y, and a ``from`` other than the one write_history writes for
+    the gathered rows: a new row whose bytes the generation before holds,
+    or an index other than the lowest that holds its row's bytes.
+    """
+    indices = _numbers(line[2].split(", "), int)
+    outside = np.flatnonzero((indices < -1) | (indices >= len(x)))
+    if outside.size:
+        k = outside[0]
+        before = f"outside [-1, {len(x)})" if len(x) else "but the first generation has no generation before it"
+        raise ValueError(f"from entry {k} is {indices[k]}, {before}")
+    new = indices < 0
+    n_new = np.count_nonzero(new)
+    take = indices.copy()
+    take[new] = len(x) + np.arange(n_new)
+    x = np.concatenate([x, _new_rows("x", line[3], x.shape[1], n_new)])[take]
+    y = np.concatenate([y, _new_rows("y", line[4], y.shape[1], n_new)])[take]
+    keys = _row_keys(x, y)
+    written = np.array(_sources(keys, previous))
+    wrong = np.flatnonzero(written != indices)
+    if wrong.size:
+        k = wrong[0]
+        raise ValueError(f"from entry {k} is {indices[k]}, but write_history writes {written[k]}: "
+                         "the lowest index of a row of the generation before with its x and y bytes, or -1")
+    return x, y, _lowest_index(keys)
 
 
 def read_history(path) -> RunHistory:
@@ -289,23 +329,25 @@ def read_history(path) -> RunHistory:
 
     Each generation line must be laid out as write_history writes it, and
     a run's ceil(evaluation_budget / population_size) of them must follow.
+    A line is read against the generation before it: ``from``'s indices
+    gather that generation's rows, and its new rows alone are parsed.
     Raises FormatVersionError on a version mismatch, and
     MalformedRecordError on bytes that are not UTF-8 and, naming the
-    line, on a bad header, a line laid out any other way, a generation
-    that breaks a record rule or the header, or a wrong count.
+    line, on a bad header, a line laid out any other way, a ``from`` that
+    write_history would not write, a generation that breaks a record rule
+    or the header, or a wrong count.
     """
     lines = _read_lines(path)
     run_fields, expected = _read_header(path, lines)
     generations = []
-    seen_x: dict[str, np.ndarray] = {}
-    seen_y: dict[str, np.ndarray] = {}
+    x, y, previous = np.empty((0, run_fields["D"])), np.empty((0, run_fields["M"])), {}
     for lineno, text in enumerate(lines[1:], start=2):
         line = _GENERATION_LINE.fullmatch(text)
         try:
             if line is None:
-                raise ValueError('expected {"gen": t, "x": [[...]], "y": [[...]]} as write_history writes it')
-            x, seen_x = _parse_matrix(line[2], run_fields["D"], seen_x)
-            y, seen_y = _parse_matrix(line[3], run_fields["M"], seen_y)
+                raise ValueError('expected {"gen": t, "from": [i, ...], "x": [[...]], "y": [[...]]} '
+                                 'as write_history writes it')
+            x, y, previous = _generation(line, x, y, previous)
             generations.append(GenerationRecord(int(line[1]), x, y))
             _check_generation(generations[-1], lineno - 2, run_fields["M"], run_fields["D"],
                               run_fields["population_size"])

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evohist import (MalformedRecordError, cli, read_embedding, read_history, read_hv_trace, write_embedding,
-                     write_hv_trace)
+from conftest import synthetic_history
+from evohist import (FormatVersionError, MalformedRecordError, cli, read_embedding, read_history, read_hv_trace,
+                     write_embedding, write_history, write_hv_trace)
 from evohist.cli import main
 from evohist.core import ContractError, OperatorConfig
 
@@ -732,10 +733,17 @@ def test_hv_trace_cut_inside_its_last_real_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: line 3: no LF at its end; the file is cut short\n"
 
 
+def lowest_indices(record):
+    """Per member, the lowest index of a member with the same x and y bytes: the ``from`` of a copy of ``record``."""
+    rows = [x.tobytes() + y.tobytes() for x, y in zip(record.x, record.y)]
+    return [rows.index(row) for row in rows]
+
+
 @pytest.mark.parametrize("edit, lineno, count", [
-    (lambda lines: lines[:-1], 11, 9),
-    (lambda lines: lines[:2], 3, 1),
-    (lambda lines: lines + [lines[-1].replace('"gen": 9,', '"gen": 10,')], 12, 11),
+    (lambda lines, history: lines[:-1], 11, 9),
+    (lambda lines, history: lines[:2], 3, 1),
+    (lambda lines, history: lines + [f'{{"gen": 10, "from": {lowest_indices(history.generations[-1])}, '
+                                     '"x": [], "y": []}'], 12, 11),
 ], ids=["last-generation-deleted", "one-generation-left", "generation-appended"])
 @pytest.mark.parametrize("command", ["embed", "hv"])
 def test_generation_count_other_than_the_budgets_is_refused(artifacts, tmp_path, capsys, command, edit, lineno,
@@ -743,7 +751,7 @@ def test_generation_count_other_than_the_budgets_is_refused(artifacts, tmp_path,
     """A run of population 8 and budget 80 records 10 generations; fewer or more exit 1 naming a line."""
     _, history, _, _ = artifacts
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("".join(line + "\n" for line in edit(history.read_text().splitlines())))
+    bad.write_text("".join(line + "\n" for line in edit(history.read_text().splitlines(), read_history(history))))
     out = tmp_path / "out.csv"
     assert main([command, "--history", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
@@ -1021,6 +1029,26 @@ class TestTracedStages:
         return json.loads(spans_path.read_text())["spans"]
 
 
+def test_out_of_memory_is_one_error_line(tmp_path):
+    """A run whose arrays do not fit exits 1 with one ``error:`` line, no traceback and no file.
+
+    The child alone runs under a 1.5 GiB address-space limit, set before
+    it imports numpy; a population of 20 million asks numpy for 1.79 GiB
+    at once for its decision variables.  One BLAS thread keeps numpy's
+    own import well inside the limit.
+    """
+    limit = 1536 * 2**20
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+             "from evohist.cli import main; sys.exit(main(sys.argv[1:]))" % (limit, limit))
+    out = tmp_path / "h.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", child, "run", "--problem", "dtlz2", "--pop", "20000000",
+                             "--evaluations", "20000000", "--out", str(out)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (1, "error: run: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_import_leaves_scipy_out():
     """scipy is a test-only dependency, and no reader parses JSON; importing either would cost every CLI start."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -1076,7 +1104,7 @@ def test_command_leaves_numpy_ma_and_random_out(artifacts, tmp_path, command):
 
 
 # read_history's message for a generation line laid out other than as write_history writes it.
-LAYOUT = 'expected {"gen": t, "x": [[...]], "y": [[...]]} as write_history writes it'
+LAYOUT = 'expected {"gen": t, "from": [i, ...], "x": [[...]], "y": [[...]]} as write_history writes it'
 
 
 def rewrite_generation(history, lineno, edit, out):
@@ -1091,13 +1119,22 @@ def rewrite_generation(history, lineno, edit, out):
     out.write_text("\n".join(lines) + "\n")
 
 
+def drop_last_member(record):
+    """The record without its last member: its ``from`` entry, and its spelled-out rows if it is new."""
+    if record["from"].pop() == -1:
+        record["x"].pop()
+        record["y"].pop()
+
+
+# The shared run's lines 3 to 6 spell out the rows of members 4-6, 2-5, 4-5 and 2-4, in member order, and
+# take the other members from the line before; so line 6's first new row is member 2's.
 @pytest.mark.parametrize("lineno, edit, message", [
     (3, lambda r: r["x"][0].__setitem__(1, float("nan")), "decision variable 1 = nan lies outside [0, 1]"),
-    (3, lambda r: (r["x"].pop(), r["y"].pop()), "generation 1 has 7 members, expected population size 8"),
+    (3, drop_last_member, "generation 1 has 7 members, expected population size 8"),
     (4, lambda r: r.update(y=[row[:2] for row in r["y"]]), "expected 3 fields, got 2"),
     (5, lambda r: r.update(x=[row[:-1] for row in r["x"]]), "expected 12 fields, got 11"),
     (2, lambda r: r["x"][4].__setitem__(0, -1e-300), "decision variable 0 = -1e-300 lies outside [0, 1]"),
-    (6, lambda r: r["y"][2].__setitem__(1, float("inf")), "objective 1 = inf in row 2 is not finite"),
+    (6, lambda r: r["y"][0].__setitem__(1, float("inf")), "objective 1 = inf in row 2 is not finite"),
     (3, lambda r: r.update(gen=True), LAYOUT),
     (3, lambda r: r.update(gen=1.0), LAYOUT),
     (3, lambda r: json.dumps(r).replace('"gen": 1,', '"gen": 1e0,'), LAYOUT),
@@ -1105,22 +1142,122 @@ def rewrite_generation(history, lineno, edit, out):
     (2, lambda r: json.dumps(r).replace('"gen": 0,', '"gen": -0,'), LAYOUT),
     (3, lambda r: r["x"][1].__setitem__(0, True), "could not convert string to float: 'true'"),
     (4, lambda r: r["x"][0].__setitem__(2, False), "could not convert string to float: 'false'"),
-    (5, lambda r: r["x"][7].__setitem__(1, "0.5"), LAYOUT),
+    (5, lambda r: r["x"][1].__setitem__(1, "0.5"), LAYOUT),
     (3, lambda r: json.dumps(r, separators=(",", ":")), LAYOUT),
     (6, lambda r: r.update(z=1), LAYOUT),
+    (4, lambda r: r["from"].__setitem__(0, "5"), LAYOUT),
+    (4, lambda r: r["from"].__setitem__(0, 5.0), LAYOUT),
 ], ids=["nan-variable", "member-count", "objective-count", "variable-count", "below-box", "infinite-objective",
         "gen-true", "gen-real", "gen-exponent", "gen-beyond-float", "gen-minus-zero", "x-true", "x-false", "x-string",
-        "compact-separators", "extra-key"])
+        "compact-separators", "extra-key", "from-string", "from-real"])
 @pytest.mark.parametrize("command", ["embed", "hv"])
 def test_bad_generation_is_one_error_line(artifacts, tmp_path, capsys, command, lineno, edit, message):
     """A generation that breaks a record rule or the header stops embed and hv with exit 1, naming file and line."""
     _, history, _, _ = artifacts
+    assert [json.loads(line)["from"].count(-1) for line in history.read_text().splitlines()[2:6]] == [3, 4, 2, 3]
     bad = tmp_path / "bad.jsonl"
     rewrite_generation(history, lineno, edit, bad)
     out = tmp_path / "out.csv"
     assert main([command, "--history", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {bad}: line {lineno}: {message}"]
     assert not out.exists()
+
+
+def two_generations(path):
+    """Write a 4-member history whose generation 0 holds one row twice (members 1 and 2), and return its lines.
+
+    Generation 1 keeps members 1, 3 and 0 of generation 0 and adds one new row.
+    """
+    xs = [[[0.5, 0.25], [0.75, 0.5], [0.75, 0.5], [0.25, 1.0]], [[0.75, 0.5], [0.25, 1.0], [0.125, 0.375], [0.5, 0.25]]]
+    ys = [[[1.0, 2.0], [3.0, 3.0], [3.0, 3.0], [2.0, 1.0]], [[3.0, 3.0], [2.0, 1.0], [4.0, 0.5], [1.0, 2.0]]]
+    write_history(synthetic_history(xs, ys), path)
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [
+        '{"gen": 0, "from": [-1, -1, -1, -1], "x": [[0.5, 0.25], [0.75, 0.5], [0.75, 0.5], [0.25, 1]], '
+        '"y": [[1, 2], [3, 3], [3, 3], [2, 1]]}',
+        '{"gen": 1, "from": [1, 3, -1, 0], "x": [[0.125, 0.375]], "y": [[4, 0.5]]}',
+    ]
+    return lines
+
+
+# Each ``from`` that write_history would not write, as (line, old text, new text, message).
+FROM_EDITS = {
+    "index-at-population-size": (3, "[1, 3, -1, 0]", "[1, 4, -1, 0]", "from entry 1 is 4, outside [-1, 4)"),
+    "index-on-generation-0": (2, "[-1, -1, -1, -1]", "[-1, 0, -1, -1]",
+                              "from entry 1 is 0, but the first generation has no generation before it"),
+    "index-below-minus-1": (3, "[1, 3, -1, 0]", "[1, 3, -2, 0]", "from entry 2 is -2, outside [-1, 4)"),
+    "one-new-too-many-for-x": (3, "[1, 3, -1, 0]", "[1, -1, -1, 0]",
+                               "the count of -1 entries in from is 2, but the count of new rows in x is 1"),
+    "one-new-too-few-for-x": (3, "[1, 3, -1, 0]", "[1, 3, 2, 0]",
+                              "the count of -1 entries in from is 0, but the count of new rows in x is 1"),
+    "one-new-too-many-for-y": (3, '"y": [[4, 0.5]]', '"y": [[4, 0.5], [4, 0.5]]',
+                               "the count of -1 entries in from is 1, but the count of new rows in y is 2"),
+    "one-new-too-few-for-y": (3, '"y": [[4, 0.5]]', '"y": []',
+                              "the count of -1 entries in from is 1, but the count of new rows in y is 0"),
+    "new-row-the-generation-before-holds": (
+        3, '[1, 3, -1, 0], "x": [[0.125, 0.375]], "y": [[4, 0.5]]',
+        '[1, -1, -1, 0], "x": [[0.25, 1], [0.125, 0.375]], "y": [[2, 1], [4, 0.5]]',
+        "from entry 1 is -1, but write_history writes 3: the lowest index of a row of the generation before with "
+        "its x and y bytes, or -1"),
+    "second-of-two-identical-rows": (
+        3, "[1, 3, -1, 0]", "[2, 3, -1, 0]",
+        "from entry 0 is 2, but write_history writes 1: the lowest index of a row of the generation before with "
+        "its x and y bytes, or -1"),
+    "underscore-in-from": (3, "[1, 3, -1, 0]", "[1, 3, -1, 0_0]", LAYOUT),
+    "space-in-from": (3, "[1, 3, -1, 0]", "[1,  3, -1, 0]", LAYOUT),
+    "tab-in-from": (3, "[1, 3, -1, 0]", "[1, 3, -1, 0\t]", LAYOUT),
+    "minus-zero-in-from": (3, "[1, 3, -1, 0]", "[1, 3, -1, -0]", LAYOUT),
+}
+
+
+@pytest.mark.parametrize("edit", FROM_EDITS, ids=list(FROM_EDITS))
+@pytest.mark.parametrize("command", ["embed", "hv"])
+def test_from_written_otherwise_is_one_error_line(tmp_path, capsys, command, edit):
+    """An index of ``from`` that is out of range, miscounts the new rows, or is not the lowest index holding its
+    member's bytes, stops embed and hv with exit 1, naming file and line; so does one spelled otherwise than %d."""
+    lineno, old, new, message = FROM_EDITS[edit]
+    bad = tmp_path / "bad.jsonl"
+    lines = two_generations(bad)
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.csv"
+    assert main([command, "--history", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: line {lineno}: {message}"]
+    assert not out.exists()
+    with pytest.raises(MalformedRecordError, match=re.escape(f"line {lineno}: {message}")):
+        read_history(bad)
+
+
+def test_two_generations_read_back(tmp_path):
+    """The unedited history of the test above reads back and is written again byte for byte."""
+    path = tmp_path / "h.jsonl"
+    lines = two_generations(path)
+    write_history(read_history(path), tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_text().splitlines() == lines
+
+
+# A history as format_version 1 wrote it: every member of every generation spelled out.
+VERSION_1 = (
+    '{"format_version": 1, "problem": "dtlz2", "M": 2, "D": 2, "algorithm": "nsga2", "population_size": 2, '
+    '"evaluation_budget": 4, "seed": 1, "crossover_probability": 0.90000000000000002, "mutation_probability": 1, '
+    '"sbx_eta": 15, "pm_eta": 20, "rng_algorithm": "numpy-pcg64"}\n'
+    '{"gen": 0, "x": [[0.5, 0.25], [0.75, 0.5]], "y": [[1, 2], [2, 1]]}\n'
+    '{"gen": 1, "x": [[0.5, 0.25], [0.125, 0.5]], "y": [[1, 2], [1.5, 1.5]]}\n'
+)
+
+
+@pytest.mark.parametrize("command", ["embed", "hv"])
+def test_version_1_history_is_refused(tmp_path, capsys, command):
+    """A format-1 history exits 1 naming line 1 and both versions; no format-1 reader is kept."""
+    old = tmp_path / "v1.jsonl"
+    old.write_text(VERSION_1)
+    out = tmp_path / "out.csv"
+    assert main([command, "--history", str(old), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {old}: line 1: format_version 1, this reader supports 2"]
+    assert not out.exists()
+    with pytest.raises(FormatVersionError, match=re.escape(f"{old}: line 1: format_version 1, this reader supports 2")):
+        read_history(old)
 
 
 def header_refused(artifacts, tmp_path, capsys, command, header, message):

@@ -34,11 +34,11 @@ from evohist import (
 from evohist import emit
 from evohist.core import ALGORITHMS, PROBLEM_NAMES
 from evohist.embedding import as_space
-from evohist.emit import COLOUR_ANCHORS, _row_texts, open_atomic
+from evohist.emit import COLOUR_ANCHORS, _matrix_text, open_atomic
 
 
 # The message read_history gives for a generation line laid out other than as write_history writes it.
-LAYOUT = 'expected {"gen": t, "x": [[...]], "y": [[...]]} as write_history writes it'
+LAYOUT = 'expected {"gen": t, "from": [i, ...], "x": [[...]], "y": [[...]]} as write_history writes it'
 # ... and for a field holding '_', whitespace or a non-ASCII character, in a matrix or a CSV.
 UNPLAIN = "a field holds '_', whitespace or a non-ASCII character"
 
@@ -112,7 +112,7 @@ class TestHistoryFile:
         path = tmp_path / "h.jsonl"
         write_history(tiny_history(), path)
         header = path.read_text().splitlines()[0]
-        assert header.startswith('{"format_version": 1, "problem": "dtlz2", "M": 2, "D": 2,')
+        assert header.startswith('{"format_version": 2, "problem": "dtlz2", "M": 2, "D": 2,')
         assert '"rng_algorithm": "numpy-pcg64"' in header
         assert path.read_bytes().count(b"\r") == 0
 
@@ -120,8 +120,8 @@ class TestHistoryFile:
         path = tmp_path / "h.jsonl"
         write_history(tiny_history(), path)
         rewrite_line(path, 1, path.read_text().splitlines()[0].replace(
-            '"format_version": 1', '"format_version": 2'))
-        with pytest.raises(FormatVersionError):
+            '"format_version": 2', '"format_version": 3'))
+        with pytest.raises(FormatVersionError, match="line 1: format_version 3, this reader supports 2"):
             read_history(path)
 
     def test_first_line_alone_ends_at_lf_alone(self, tmp_path):
@@ -192,8 +192,8 @@ class TestHistoryFile:
     def test_out_of_range_values_rejected_with_line(self, tmp_path):
         path = tmp_path / "h.jsonl"
         write_history(tiny_history(), path)
-        rewrite_line(path, 2, '{"gen": 0, "x": [[0.1, 1.5], [0.9, 0.4]], "y": [[1.0, 2.0], [2.0, 1.0]]}')
-        with pytest.raises(MalformedRecordError, match="line 2"):
+        rewrite_line(path, 2, '{"gen": 0, "from": [-1, -1], "x": [[0.1, 1.5], [0.9, 0.4]], "y": [[1.0, 2.0], [2.0, 1.0]]}')
+        with pytest.raises(MalformedRecordError, match="line 2: decision variable 1 = 1.5 lies outside"):
             read_history(path)
 
 
@@ -418,18 +418,32 @@ class TestMatrixFormatting:
     ))
     @settings(max_examples=200, deadline=None)
     def test_template_matches_per_value_format(self, rows):
-        expected = ["[" + ", ".join(format(v, ".17g") for v in row) + "]" for row in rows]
-        assert _row_texts(np.array(rows, dtype=float), {})[0] == expected
+        expected = "[" + ", ".join("[" + ", ".join(format(v, ".17g") for v in row) + "]" for row in rows) + "]"
+        assert _matrix_text(np.array(rows, dtype=float)) == expected
 
     def test_no_rows(self):
-        assert _row_texts(np.empty((0, 3)), {}) == ([], {})
+        assert _matrix_text(np.empty((0, 3))) == "[]"
 
 
-def per_value_line(rec):
-    """One history line formatted value by value: the oracle for the row-reusing writer."""
+def per_value_lines(history):
+    """Each generation line formatted value by value: the oracle for the row-reusing writer.
+
+    Entry k of ``from`` is the lowest index of a row of the generation
+    before with member k's x and y bytes, found by comparing every row,
+    or -1; only the -1 members' rows are spelled out.
+    """
     def matrix(rows):
         return "[" + ", ".join("[" + ", ".join(format(v, ".17g") for v in row) + "]" for row in rows) + "]"
-    return f'{{"gen": {rec.generation}, "x": {matrix(rec.x)}, "y": {matrix(rec.y)}}}'
+
+    lines, before = [], []
+    for rec in history.generations:
+        rows = [x.tobytes() + y.tobytes() for x, y in zip(rec.x, rec.y)]
+        source = [before.index(row) if row in before else -1 for row in rows]
+        new = [k for k, i in enumerate(source) if i == -1]
+        lines.append(f'{{"gen": {rec.generation}, "from": {source}, "x": {matrix(rec.x[new])}, '
+                     f'"y": {matrix(rec.y[new])}}}')
+        before = rows
+    return lines
 
 
 class TestHistoryRowReuse:
@@ -449,7 +463,10 @@ class TestHistoryRowReuse:
         path = tmp_path / "history.jsonl"
         write_history(history, path)
         lines = path.read_text().splitlines()[1:]
-        assert lines == [per_value_line(rec) for rec in history.generations]
+        assert lines == per_value_lines(history)
+        # b is kept at its index; c's y changed, so c is new; d refers to the lower of its two copies.
+        assert [re.search(r'"from": (\[[^]]*\])', line)[1] for line in lines] == [
+            "[-1, -1, -1]", "[-1, 2, -1]", "[-1, -1, -1]", "[-1, 1, -1]"]
         assert '"x": [[-0, 0.5' in lines[1] and '"x": [[0, 0.5' in lines[3] and "[-0, 0.5" in lines[3]
 
     @given(st.data())
@@ -465,20 +482,22 @@ class TestHistoryRowReuse:
         history = synthetic_history(xs, ys)
         path = tmp_path_factory.mktemp("history") / "history.jsonl"
         write_history(history, path)
-        assert path.read_text().splitlines()[1:] == [per_value_line(rec) for rec in history.generations]
+        assert path.read_text().splitlines()[1:] == per_value_lines(history)
         for a, b in zip(history.generations, read_history(path).generations):
             assert bits(a.x.view(np.int64)) == bits(b.x.view(np.int64))
             assert bits(a.y.view(np.int64)) == bits(b.y.view(np.int64))
 
 
 class TestHistoryReaderReuse:
-    """read_history takes a row whose text the previous generation's same matrix held from there, and parses the rest."""
+    """read_history gathers each member ``from`` names from the generation before, and parses only the new rows."""
 
-    def test_a_row_found_in_previous_is_taken_from_there(self):
-        previous = {"0.5, 0.25": np.array([9.0, 9.0])}
-        matrix, seen = emit._parse_matrix("0.5, 0.25], [0.75, 1", 2, previous)
-        assert matrix.tolist() == [[9.0, 9.0], [0.75, 1.0]]
-        assert {text: row.tolist() for text, row in seen.items()} == {"0.5, 0.25": [9.0, 9.0], "0.75, 1": [0.75, 1.0]}
+    def test_a_member_from_names_is_taken_from_the_generation_before(self):
+        x, y = np.array([[0.5, 0.25], [0.125, 1.0]]), np.array([[1.0, 2.0], [3.0, 4.0]])
+        line = emit._GENERATION_LINE.fullmatch('{"gen": 1, "from": [1, -1, 0], "x": [[0.75, 1]], "y": [[5, 6]]}')
+        x, y, lowest = emit._generation(line, x, y, emit._lowest_index(emit._row_keys(x, y)))
+        assert x.tolist() == [[0.125, 1.0], [0.75, 1.0], [0.5, 0.25]]
+        assert y.tolist() == [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]]
+        assert lowest == dict(zip(emit._row_keys(x, y), range(3)))
 
     def test_reused_signed_zeros_and_subnormals_read_back_bit_identical_and_read_only(self, tmp_path):
         edge = [-0.0, 5e-324, 2.2250738585072009e-308]
@@ -496,20 +515,20 @@ class TestHistoryReaderReuse:
         assert np.signbit(back.generations[2].x[:2, 0]).all() and not np.signbit(back.generations[1].x[0, 0])
 
     @pytest.mark.parametrize("line, message", [
-        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4, 0.5]], "y": [[1, 2], [2, 1]]}', "expected 2 fields, got 3"),
-        ('{"gen": 1, "x": [[0.1, 0.2], [0.9]], "y": [[1, 2], [2, 1]]}', "expected 2 fields, got 1"),
-        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1], [3]]}', "expected 2 fields, got 1"),
-        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, true]], "y": [[1, 2], [2, 1]]}', "could not convert string to float: 'true'"),
-        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1e1_0]]}', UNPLAIN),
-        ('{"gen": 1, "x": [[0.1, 0.2], [0.9, 0.4\r]], "y": [[1, 2], [2, 1]]}', UNPLAIN),
+        ('{"gen": 1, "from": [0, -1], "x": [[0.9, 0.4, 0.5]], "y": [[2, 1]]}', "expected 2 fields, got 3"),
+        ('{"gen": 1, "from": [0, -1], "x": [[0.9]], "y": [[2, 1]]}', "expected 2 fields, got 1"),
+        ('{"gen": 1, "from": [0, -1], "x": [[0.9, 0.4]], "y": [[2, 1], [3]]}', "expected 2 fields, got 1"),
+        ('{"gen": 1, "from": [0, -1], "x": [[0.9, true]], "y": [[2, 1]]}', "could not convert string to float: 'true'"),
+        ('{"gen": 1, "from": [0, -1], "x": [[0.9, 0.4]], "y": [[2, 1e1_0]]}', UNPLAIN),
+        ('{"gen": 1, "from": [0, -1], "x": [[0.9, 0.4\r]], "y": [[2, 1]]}', UNPLAIN),
     ], ids=["wider-new-row", "narrower-new-row", "extra-narrow-y-row", "true-in-new-row", "underscore-in-new-row",
             "cr-in-new-row"])
     def test_bad_new_row_beside_reused_rows(self, tmp_path, line, message):
-        """Line 3 repeats line 2's first rows, so only its last row is new; that row's fault still names line 3."""
+        """Line 3 takes member 0 from line 2, so only its last row is new; that row's fault still names line 3."""
         path = tmp_path / "h.jsonl"
         write_history(tiny_history(), path)
-        rewrite_line(path, 2, '{"gen": 0, "x": [[0.1, 0.2], [0.8, 0.3]], "y": [[1, 2], [2, 1]]}')
-        path.write_text(path.read_text().replace(path.read_text().splitlines()[2], line))
+        rewrite_line(path, 2, '{"gen": 0, "from": [-1, -1], "x": [[0.1, 0.2], [0.8, 0.3]], "y": [[1, 2], [2, 1]]}')
+        rewrite_line(path, 3, line)
         with pytest.raises(MalformedRecordError, match=f"line 3: .*{re.escape(message)}"):
             read_history(path)
 
@@ -531,11 +550,12 @@ def histories(draw):
     return synthetic_history(matrices(st.sampled_from(UNIT_EDGES), d), matrices(finite_reals, m))
 
 
-# One-token edits of a generation line, none of which write_history can produce: a value (or
-# the gen) replaced by a JSON boolean or string, '_'-grouped or space-padded digits, gen as -0,
-# and a separator dropped or doubled.
+# One-token edits of a generation line, none of which write_history can produce: a value, an index of
+# ``from`` or the gen replaced by a JSON boolean or string, '_'-grouped or space-padded digits, gen as -0,
+# an index of ``from`` as -0, +1 or 01, below -1, at the population size, or turned from -1 into an index
+# or back, and a separator dropped or doubled.
 TOKEN = re.compile(r"-?[0-9][-+.0-9e]*")
-SEPARATORS = [", ", "], [", '{"gen": ', ', "x": [[', ']], "y": [[', "]]}"]
+SEPARATORS = [", ", "], [", '{"gen": ', ', "from": [', '], "x": [', '], "y": [', "]}"]
 
 
 def separator_edited(draw, line, separators, double):
@@ -549,7 +569,14 @@ def separator_edited(draw, line, separators, double):
 @st.composite
 def edited_line(draw, line):
     """``line`` with one edit from the catalogue above, at a drawn place."""
-    kind = draw(st.sampled_from(["token", "gen", "drop", "double"]))
+    kind = draw(st.sampled_from(["token", "gen", "index", "drop", "double"]))
+    if kind == "index":
+        start = line.index('"from": [')
+        tokens = list(TOKEN.finditer(line, start, line.index("]", start)))
+        token = draw(st.sampled_from(tokens))
+        flipped = "0" if token[0] == "-1" else "-1"
+        text = draw(st.sampled_from(["-0", "+1", "01", "-2", str(len(tokens)), flipped]))
+        return line[:token.start()] + text + line[token.end():]
     if kind in ("token", "gen"):
         tokens = list(TOKEN.finditer(line))
         token = tokens[0] if kind == "gen" else draw(st.sampled_from(tokens))
@@ -617,22 +644,34 @@ class TestHistoryLayout:
         assert path.with_name("again.jsonl").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("line, message", [
-        ('{"gen":0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
-        ('{"gen": 0,"x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
-        ('{"gen": 0, "x": [[0.1,0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', "expected 2 fields, got 1"),
-        ('{"gen": 0, "x": [[0.1, 0.2],[0.9, 0.4]], "y": [[1, 2], [2, 1]]}', "expected 2 fields, got 3"),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]] }', LAYOUT),
-        ('{"y": [[1, 2], [2, 1]], "gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]]}', LAYOUT),
-        ('{"gen": 00, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9,  0.4]], "y": [[1, 2], [2, 1]]}', UNPLAIN),
-        ('{"gen": 0, "x": [[0.1, 0.2], [ 0.9, 0.4]], "y": [[1, 2], [2, 1]]}', UNPLAIN),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1\t]]}', UNPLAIN),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, \u0661]]}', UNPLAIN),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1e1_0]]}', UNPLAIN),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2]]}', "expected 2 fields, got 1"),
-        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[]]}', "expected 2 fields, got 1"),
-    ], ids=["gen-colon", "gen-comma", "value-comma", "row-comma", "closing-space", "key-order", "gen-leading-zero",
-            "double-space", "leading-space", "tab", "non-ascii-digit", "underscore", "ragged", "empty"])
+        ('{"gen":0, "from": [-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
+        ('{"gen": 0,"from": [-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
+        ('{"gen": 0, "from":[-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
+        ('{"gen": 0, "from": [-1,-1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
+        ('{"gen": 0, "from": [-1, -1],"x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
+        ('{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "from": [-1, -1], "y": [[1, 2], [2, 1]]}', LAYOUT),
+        ('{"gen": 0, "from": [-1, -1], "x": [[0.1,0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', "expected 2 fields, got 1"),
+        ('{"gen": 0, "from": [-1, -1], "x": [[0.1, 0.2],[0.9, 0.4]], "y": [[1, 2], [2, 1]]}', "expected 2 fields, got 3"),
+        ('{"gen": 0, "from": [-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]] }', LAYOUT),
+        ('{"y": [[1, 2], [2, 1]], "gen": 0, "from": [-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]]}', LAYOUT),
+        ('{"gen": 00, "from": [-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
+        ('{"gen": 0, "from": [-1, -1], "x": [[0.1, 0.2], [0.9,  0.4]], "y": [[1, 2], [2, 1]]}', UNPLAIN),
+        ('{"gen": 0, "from": [-1, -1], "x": [[0.1, 0.2], [ 0.9, 0.4]], "y": [[1, 2], [2, 1]]}', UNPLAIN),
+        ('{"gen": 0, "from": [-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1\t]]}', UNPLAIN),
+        ('{"gen": 0, "from": [-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, \u0661]]}', UNPLAIN),
+        ('{"gen": 0, "from": [-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1e1_0]]}', UNPLAIN),
+        ('{"gen": 0, "from": [-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2]]}', "expected 2 fields, got 1"),
+        ('{"gen": 0, "from": [-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[]]}', "expected 2 fields, got 1"),
+        ('{"gen": 0, "from": [-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": []}',
+         "the count of -1 entries in from is 2, but the count of new rows in y is 0"),
+        ('{"gen": 0, "from": [], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}', LAYOUT),
+        ('{"gen": 0, "from": [-1, -1000000000000000000], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, 1]]}',
+         LAYOUT),
+    ], ids=["gen-colon", "gen-comma", "from-colon", "from-comma", "from-closing-comma", "no-from", "from-after-x",
+            "value-comma", "row-comma", "closing-space", "key-order", "gen-leading-zero", "double-space",
+            "leading-space", "tab", "non-ascii-digit", "underscore", "ragged", "empty", "empty-y", "empty-from",
+            "index-of-19-digits"])
     def test_other_layouts_refused(self, tmp_path, line, message):
         path = tmp_path / "h.jsonl"
         write_history(tiny_history(), path)
@@ -644,9 +683,9 @@ class TestHistoryLayout:
         """Values are read by Python's float, so other spellings of a real, NaN and Infinity included, parse."""
         path = tmp_path / "h.jsonl"
         write_history(tiny_history(), path)
-        rewrite_line(path, 2, '{"gen": 0, "x": [[1e-1, 0.20], [+0.9, 4E-1]], "y": [[1.0, 2], [2, 1]]}')
+        rewrite_line(path, 2, '{"gen": 0, "from": [-1, -1], "x": [[1e-1, 0.20], [+0.9, 4E-1]], "y": [[1.0, 2], [2, 1]]}')
         assert np.array_equal(read_history(path).generations[0].x, [[0.1, 0.2], [0.9, 0.4]])
-        rewrite_line(path, 2, '{"gen": 0, "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, Infinity]]}')
+        rewrite_line(path, 2, '{"gen": 0, "from": [-1, -1], "x": [[0.1, 0.2], [0.9, 0.4]], "y": [[1, 2], [2, Infinity]]}')
         with pytest.raises(MalformedRecordError, match="line 2: objective 1 = inf in row 1 is not finite"):
             read_history(path)
 
@@ -655,15 +694,15 @@ class TestAtomicWrites:
     @staticmethod
     def fail_on_third_generation(monkeypatch):
         calls = []
-        real = emit._row_texts
+        real = emit._matrix_text
 
-        def flaky(rows, previous):
+        def flaky(rows):
             calls.append(rows)
             if len(calls) == 5:  # one call for x, one for y per generation: call 5 is generation 2's x
                 raise RuntimeError("disk full")
-            return real(rows, previous)
+            return real(rows)
 
-        monkeypatch.setattr(emit, "_row_texts", flaky)
+        monkeypatch.setattr(emit, "_matrix_text", flaky)
 
     def test_failed_write_keeps_existing_history(self, tmp_path, monkeypatch, short_run):
         path = tmp_path / "history.jsonl"
